@@ -9,13 +9,23 @@ Two regimes are implemented:
   parallelotope there decides the hypothesis.
 
 * the streaming detector (``detector_init`` / ``ingest`` / ``run_stream``)
-  -- maintain the running sample covariance, estimate the signal rank from
-  its spectrum, and track the test statistic
+  -- track the spectrum of the running sample covariance, estimate the signal
+  rank from it, and track the test statistic
 
       T_i = Vol([Q_hat_i, Q_s])
 
   where Q_hat_i spans the top eigenvectors. 1/T diverges when the target is
   present and levels off at a finite value otherwise.
+
+The spectral state depends on the sample count i and the ambient dimension
+n. While i < n the detector stores the samples Y (n x i) and their Gram
+matrix G = Y^T Y, bordered by one row and column per sample at O(n i) cost.
+The eigenvalues of G / i are the nonzero eigenvalues of the covariance
+Y Y^T / i, and only the top-k eigenvectors are formed, as Y V_k / s_k
+followed by a Cholesky-QR step that keeps them orthonormal. At i = n the
+n x n covariance is built once from Y; from then on it is updated by the
+rank-one recursion R_i = ((i-1)/i) R_{i-1} + y y^T / i and fully
+eigendecomposed on every sample.
 
 The statistic is computed in the log domain; 1/T is capped at 1e308.
 """
@@ -25,7 +35,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,44 +94,65 @@ class DetectorConfig:
     zero_volume_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.divergence_threshold <= 1.0:
-            raise ValueError("divergence_threshold must exceed 1")
-        if self.stall_epsilon <= 0 or self.zero_volume_tol <= 0:
-            raise ValueError("stall_epsilon and zero_volume_tol must be positive")
+        # Each test is written so that NaN fails it. divergence_threshold may
+        # be inf (a threshold that never fires).
+        if not self.divergence_threshold > 1.0:
+            raise ValueError(f"divergence_threshold must exceed 1, got {self.divergence_threshold}")
+        if not (self.stall_epsilon > 0 and self.zero_volume_tol > 0):
+            raise ValueError("stall_epsilon and zero_volume_tol must be positive numbers")
         if self.stall_patience < 1 or self.max_samples < 1:
             raise ValueError("stall_patience and max_samples must be >= 1")
-        if self.rank_gap_factor <= 0:
-            raise ValueError("rank_gap_factor must be positive")
-        if self.noise_variance_hint is not None and self.noise_variance_hint < 0:
-            raise ValueError("noise_variance_hint must be non-negative")
+        if not self.rank_gap_factor > 0:
+            raise ValueError(f"rank_gap_factor must be positive, got {self.rank_gap_factor}")
+        hint = self.noise_variance_hint
+        if hint is not None and not (math.isfinite(hint) and hint >= 0):
+            raise ValueError(f"noise_variance_hint must be finite and non-negative, got {hint}")
 
 
 @dataclass
 class DetectorState:
     config: DetectorConfig
     sample_count: int
-    covariance: np.ndarray
     estimated_rank: int
     signal_basis: SubspaceBasis
     trajectory: list[tuple[int, float, float, int]]
     decision: Decision
-    _stall_streak: int = 0
-    # Raw samples as columns, kept while sample_count < n so the spectrum can
-    # be obtained from an n x i SVD instead of an n x n eigendecomposition.
-    _sample_block: list[np.ndarray] = field(default_factory=list)
+    # While sample_count < n: the samples as rows of a buffer that grows by
+    # doubling up to n - 1 rows, and their Gram matrix in a buffer of the same
+    # capacity. At sample_count = n both are released and the n x n
+    # covariance takes over.
+    _samples: np.ndarray | None
+    _gram: np.ndarray | None
+    _cov: np.ndarray | None = None
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """Running sample covariance (1/i) sum_j y_j y_j^T, as a read-only array."""
+        if self._cov is None:
+            rows = self._samples[: self.sample_count]
+            cov = rows.T @ rows / max(self.sample_count, 1)
+        else:
+            cov = self._cov.view()
+        cov.flags.writeable = False
+        return cov
+
+
+_INITIAL_CAPACITY = 16
 
 
 def detector_init(cfg: DetectorConfig) -> DetectorState:
-    """Fresh state: zero covariance, empty trajectory, undecided."""
+    """Fresh state: no samples, empty trajectory, undecided."""
     n = cfg.target_basis.ambient_dim
+    cap = min(n - 1, _INITIAL_CAPACITY)
     return DetectorState(
         config=cfg,
         sample_count=0,
-        covariance=np.zeros((n, n)),
         estimated_rank=0,
         signal_basis=SubspaceBasis(np.empty((n, 0))),
         trajectory=[],
         decision=Decision(Outcome.UNDECIDED),
+        _samples=np.empty((cap, n)),
+        _gram=np.empty((cap, cap)),
     )
 
 
@@ -156,47 +187,99 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
     return max(0, min(k, cap))
 
 
-def _spectrum(state: DetectorState) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending, length n) and eigenvectors of the covariance."""
-    n = state.covariance.shape[0]
-    i = state.sample_count
-    if i < n and state._sample_block:
-        Y = np.column_stack(state._sample_block) / math.sqrt(i)
-        U, s, _ = np.linalg.svd(Y, full_matrices=False)
-        lam = np.zeros(n)
-        lam[: s.size] = s**2
-        return lam, U
-    pairs = symmetric_eig(state.covariance)
-    return pairs.values, pairs.vectors
+def _store_sample(state: DetectorState, vec: np.ndarray, i: int) -> np.ndarray:
+    """Write sample i as row i - 1 of the buffer; return the i stored rows."""
+    cap, n = state._samples.shape
+    if i > cap:
+        cap = min(2 * cap, n - 1)
+        samples = np.empty((cap, n))
+        samples[: i - 1] = state._samples[: i - 1]
+        gram = np.empty((cap, cap))
+        gram[: i - 1, : i - 1] = state._gram[: i - 1, : i - 1]
+        state._samples, state._gram = samples, gram
+    state._samples[i - 1] = vec
+    return state._samples[:i]
+
+
+def _gram_eig(state: DetectorState, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Border the Gram matrix with the newest sample and eigendecompose it.
+
+    ``rows`` holds the i samples as rows (Y^T). Returns G = Y^T Y and the
+    eigenvalues, descending, and eigenvectors of G / i. These eigenvalues
+    are the nonzero part of the covariance spectrum.
+    """
+    i = rows.shape[0]
+    border = rows @ rows[-1]
+    state._gram[i - 1, :i] = border
+    state._gram[:i, i - 1] = border
+    G = state._gram[:i, :i]
+    w, V = np.linalg.eigh(G / i)
+    return G, w[::-1], V[:, ::-1]
+
+
+# Orthonormality defect above which the top-k basis gets a second
+# Cholesky-QR step; 100x below the 1e-10 that SubspaceBasis enforces.
+_BASIS_DEFECT_TOL = 1e-12
+
+
+def _top_basis(rows: np.ndarray, G: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Orthonormal n x k basis of the covariance eigenvectors for V's columns.
+
+    For an eigenpair (lam, v) of G / i, Y v / sqrt(i lam) is a unit
+    eigenvector of the covariance, so the basis is Y C with
+    C = V diag(1/sqrt(i lam)). Forming it squares the condition number of
+    Y, so one Cholesky-QR step follows, taken on the i x k coefficients:
+    with C^T G C = L L^T the basis is Y C L^{-T}. That step cannot see the
+    rounding in G itself, which an ill-conditioned Y (a noiseless block at
+    i = d1) amplifies past 1e-10; when the formed basis shows it, a second
+    step is taken on the n x k columns.
+    """
+    C = V / np.sqrt(rows.shape[0] * lam)
+    L = np.linalg.cholesky(C.T @ G @ C)
+    U = rows.T @ (C @ np.linalg.inv(L).T)
+    P = U.T @ U
+    if np.max(np.abs(P - np.eye(P.shape[0])), initial=0.0) > _BASIS_DEFECT_TOL:
+        U = U @ np.linalg.inv(np.linalg.cholesky(P)).T
+    return U
 
 
 def ingest(state: DetectorState, y: Sample | np.ndarray) -> DetectorState:
-    """Fold one sample into the state: covariance, rank, statistic, decision."""
+    """Fold one sample into the state: spectrum, rank, statistic, decision."""
     if state.decision.variant is not Outcome.UNDECIDED:
         raise RuntimeError("cannot ingest after a decision was reached")
     vec = y.vector if isinstance(y, Sample) else np.asarray(y, dtype=float)
-    n = state.covariance.shape[0]
+    cfg = state.config
+    n = cfg.target_basis.ambient_dim
     if vec.shape != (n,):
         raise ValueError(f"sample length {vec.shape} does not match ambient dim {n}")
 
     i = state.sample_count + 1
-    state.covariance *= (i - 1) / i
-    state.covariance += np.outer(vec, vec) / i
     state.sample_count = i
-    if i <= n:
-        state._sample_block.append(vec)
-    elif state._sample_block:
-        state._sample_block.clear()
-
-    lam, vecs = _spectrum(state)
-    k = estimate_rank(lam, state.config, i)
+    if i < n:
+        rows = _store_sample(state, vec, i)
+        G, lam_i, V = _gram_eig(state, rows)
+        lam = np.zeros(n)
+        lam[:i] = np.maximum(lam_i, 0.0)
+        k = estimate_rank(lam, cfg, i)
+        basis = _top_basis(rows, G, V[:, :k], lam[:k])
+    else:
+        if i == n:
+            rows = state._samples[: n - 1]
+            state._cov = (rows.T @ rows + np.outer(vec, vec)) / n
+            state._samples = state._gram = None
+        else:
+            state._cov *= (i - 1) / i
+            state._cov += np.outer(vec, vec) / i
+        pairs = symmetric_eig(state._cov)
+        k = estimate_rank(pairs.values, cfg, i)
+        basis = pairs.vectors[:, :k]
     state.estimated_rank = k
-    state.signal_basis = SubspaceBasis(vecs[:, :k])
+    state.signal_basis = SubspaceBasis(basis)
 
     if k == 0:
         log_t = 0.0
     else:
-        log_t = stacked_log_volume(state.signal_basis, state.config.target_basis)
+        log_t = stacked_log_volume(state.signal_basis, cfg.target_basis)
     t = math.exp(log_t) if log_t > -700 else 0.0
     inv_t = min(math.exp(-log_t), INV_T_CAP) if log_t > -710 else INV_T_CAP
     state.trajectory.append((i, t, inv_t, k))
@@ -205,20 +288,21 @@ def ingest(state: DetectorState, y: Sample | np.ndarray) -> DetectorState:
 
 
 def decide(state: DetectorState) -> Decision:
-    """Threshold test on 1/T, then stall test, then budget check."""
+    """Threshold test on 1/T, then stall test, then budget check.
+
+    Reads only the trajectory, so repeated calls give the same decision. The
+    stall test fires when each of the last ``stall_patience`` steps of 1/T
+    changed by less than ``stall_epsilon`` relative.
+    """
     if not state.trajectory:
         raise ValueError("decide requires a non-empty trajectory")
     cfg = state.config
     i, _, inv_t, _ = state.trajectory[-1]
     if inv_t > cfg.divergence_threshold:
         return Decision(Outcome.TARGET_PRESENT, decided_at=i)
-    if len(state.trajectory) >= 2:
-        prev_inv_t = state.trajectory[-2][2]
-        if abs(inv_t - prev_inv_t) < cfg.stall_epsilon * inv_t:
-            state._stall_streak += 1
-        else:
-            state._stall_streak = 0
-        if state._stall_streak >= cfg.stall_patience:
+    if len(state.trajectory) > cfg.stall_patience:
+        recent = [row[2] for row in state.trajectory[-(cfg.stall_patience + 1) :]]
+        if all(abs(b - a) < cfg.stall_epsilon * b for a, b in zip(recent, recent[1:])):
             return Decision(Outcome.TARGET_ABSENT, decided_at=i)
     return Decision(Outcome.UNDECIDED)
 

@@ -138,12 +138,11 @@ def _detector_config(cfg: ExperimentConfig, target_basis, noise_variance) -> Det
 
 
 def _run_trial(args) -> list[TrajectoryRecord]:
-    cfg, trial_id, present = args
-    scenario = make_scenario(with_hypothesis(cfg.scenario, present))
-    det_cfg = _detector_config(cfg, scenario.target_basis, scenario.noise_std**2)
-    rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, trial_id, present))
+    scenario, det_cfg, master_seed, trial_id = args
+    present = scenario.config.target_present
+    rng = np.random.default_rng(derive_trial_seed(master_seed, trial_id, present))
     state = detector_init(det_cfg)
-    for i in range(1, cfg.max_samples + 1):
+    for i in range(1, det_cfg.max_samples + 1):
         ingest(state, draw_sample(scenario, i, rng))
         if state.decision.variant is not Outcome.UNDECIDED:
             break
@@ -158,12 +157,16 @@ def _run_trial(args) -> list[TrajectoryRecord]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TrajectoryRecord]:
-    """All trial trajectories under both hypotheses, in deterministic order."""
-    tasks = [
-        (cfg, trial, present)
-        for present in (True, False)
-        for trial in range(cfg.trials)
-    ]
+    """All trial trajectories under both hypotheses, in deterministic order.
+
+    The geometry depends only on the hypothesis, so each hypothesis's
+    scenario and detector config are built once and shared by its trials.
+    """
+    tasks = []
+    for present in (True, False):
+        scenario = make_scenario(with_hypothesis(cfg.scenario, present))
+        det_cfg = _detector_config(cfg, scenario.target_basis, scenario.noise_std**2)
+        tasks += [(scenario, det_cfg, cfg.master_seed, trial) for trial in range(cfg.trials)]
     if cfg.parallelism > 1:
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
             per_trial = list(pool.map(_run_trial, tasks))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from vcdetect.detector import (
     run_stream,
     write_trajectory_csv,
 )
-from vcdetect.geometry import SubspaceBasis, orthonormalize
+from vcdetect.geometry import SubspaceBasis, orthonormalize, stacked_log_volume
 from vcdetect.scenario import (
     ScenarioConfig,
     draw_sample,
@@ -155,6 +156,129 @@ class TestDecide:
         cfg = DetectorConfig(target_basis=SubspaceBasis(np.eye(4)[:, :1]))
         with pytest.raises(ValueError):
             decide(detector_init(cfg))
+
+    def test_repeated_calls_agree(self):
+        cfg = DetectorConfig(
+            target_basis=SubspaceBasis(np.eye(4)[:, :1]), stall_patience=2
+        )
+        state = detector_init(cfg)
+        for i in range(1, 4):
+            state.trajectory.append((i, 0.5, 2.0, 1))
+        first = [decide(state) for _ in range(3)]
+        assert first == [Decision(Outcome.TARGET_ABSENT, decided_at=3)] * 3
+        state.trajectory[-1] = (3, 0.25, 4.0, 1)
+        assert [decide(state) for _ in range(3)] == [Decision(Outcome.UNDECIDED)] * 3
+
+
+class TestConfigValidation:
+    TARGET = SubspaceBasis(np.eye(4)[:, :1])
+
+    @pytest.mark.parametrize(
+        "field",
+        ["noise_variance_hint", "rank_gap_factor", "divergence_threshold",
+         "stall_epsilon", "zero_volume_tol"],
+    )
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            DetectorConfig(target_basis=self.TARGET, **{field: math.nan})
+
+    @pytest.mark.parametrize("hint", [math.inf, -math.inf, -1.0])
+    def test_bad_noise_hint_rejected(self, hint):
+        with pytest.raises(ValueError, match="noise_variance_hint"):
+            DetectorConfig(target_basis=self.TARGET, noise_variance_hint=hint)
+
+    def test_infinite_divergence_threshold_allowed(self):
+        cfg = DetectorConfig(target_basis=self.TARGET, divergence_threshold=math.inf)
+        assert cfg.divergence_threshold == math.inf
+
+
+def reference_spectrum_run(cfg, samples):
+    """(k_i, 1/T) per sample from the spectrum as first implemented.
+
+    The covariance follows the rank-one recursion from the first sample. While
+    i < n the spectrum is the SVD of the n x i sample block scaled by
+    1/sqrt(i); from i = n it is the full eigendecomposition of the covariance.
+    """
+    n = cfg.target_basis.ambient_dim
+    cov = np.zeros((n, n))
+    block = []
+    out = []
+    for i, y in enumerate(samples, start=1):
+        cov *= (i - 1) / i
+        cov += np.outer(y, y) / i
+        if i < n:
+            block.append(y)
+            U, s, _ = np.linalg.svd(np.column_stack(block) / math.sqrt(i), full_matrices=False)
+            lam = np.zeros(n)
+            lam[: s.size] = s**2
+            vecs = U
+        else:
+            w, V = np.linalg.eigh((cov + cov.T) / 2.0)
+            lam, vecs = w[::-1], V[:, ::-1]
+        k = estimate_rank(lam, cfg, i)
+        log_t = stacked_log_volume(SubspaceBasis(vecs[:, :k]), cfg.target_basis) if k else 0.0
+        out.append((k, min(math.exp(-log_t), 1e308) if log_t > -710 else 1e308))
+    return out
+
+
+class TestSpectralState:
+    # Fixed before the bordered-Gram state was compared with the reference:
+    # 1/T is a product of sines, so a basis accurate to ~1e-13 keeps it well
+    # inside 1e-9 relative.
+    INV_T_RTOL = 1e-9
+
+    @pytest.mark.parametrize("present", [True, False])
+    @pytest.mark.parametrize("snr_db,use_hint", [(10.0, True), (0.0, True), (10.0, False)])
+    def test_matches_reference_across_n(self, present, snr_db, use_hint):
+        n, count = 32, 80
+        for seed in range(3):
+            sc = make_scenario(ScenarioConfig(n, 4, 2, snr_db, present, 500 + seed))
+            hint = sc.noise_std**2 if use_hint else None
+            cfg = replace(passive_config(sc.target_basis, count), noise_variance_hint=hint)
+            ys = [s.vector for s in sample_stream(sc, np.random.default_rng(seed), count)]
+            state = detector_init(cfg)
+            for y in ys:
+                ingest(state, y)
+            want = reference_spectrum_run(cfg, ys)
+            assert [row[3] for row in state.trajectory] == [k for k, _ in want]
+            got_inv_t = np.array([row[2] for row in state.trajectory])
+            want_inv_t = np.array([inv_t for _, inv_t in want])
+            np.testing.assert_allclose(got_inv_t, want_inv_t, rtol=self.INV_T_RTOL, atol=0)
+
+    def test_ill_conditioned_noiseless_block_stays_orthonormal(self):
+        # Clutter powers spread over 1e7, so cond(Y) ~ 1e3.5 at i = d1 and
+        # forming Y V / s alone leaves a defect above 1e-10.
+        n, d1 = 48, 8
+        rng = np.random.default_rng(7)
+        clutter = orthonormalize(rng.standard_normal((n, d1)), tol=1e-12).basis
+        target = orthonormalize(rng.standard_normal((n, 2)), tol=1e-12)
+        scales = np.logspace(0, -3.5, d1)
+        cfg = passive_config(target, d1)
+        for trial in range(5):
+            ys = [clutter @ (scales * rng.standard_normal(d1)) for _ in range(d1)]
+            state = detector_init(cfg)
+            for y in ys:
+                ingest(state, y)
+            B = state.signal_basis.basis
+            assert state.estimated_rank == d1
+            assert np.max(np.abs(B.T @ B - np.eye(d1))) <= 1e-10
+            want_inv_t = reference_spectrum_run(cfg, ys)[-1][1]
+            assert state.trajectory[-1][2] == pytest.approx(want_inv_t, rel=self.INV_T_RTOL)
+
+    def test_covariance_property_matches_batch_mean(self):
+        n = 32
+        rng = np.random.default_rng(33)
+        state = detector_init(passive_config(SubspaceBasis(np.eye(n)[:, :2]), 80))
+        ys = []
+        for i in range(1, 81):
+            ys.append(rng.standard_normal(n))
+            ingest(state, ys[-1])
+            if i in (1, n - 1, n, n + 1, 80):
+                batch = sum(np.outer(y, y) for y in ys) / i
+                rel = np.linalg.norm(state.covariance - batch) / np.linalg.norm(batch)
+                assert rel < 1e-10
+        with pytest.raises(ValueError):
+            state.covariance[0, 0] = 1.0
 
 
 class TestNoiselessStreaming:

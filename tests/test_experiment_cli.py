@@ -186,6 +186,15 @@ class TestDetectCli:
         assert r.returncode == 2
         assert "column" in r.stderr
 
+    def test_nan_noise_variance_exits_2(self, tmp_path):
+        # A NaN hint would make every rank threshold NaN, k_i stay 0 and 1/T
+        # stay 1, which stalls into a silent target_absent.
+        samples, basis, _, _ = self.make_files(tmp_path, present=False, noiseless=False)
+        r = run_cli("detect", "--samples", str(samples), "--target-basis", str(basis), "--sigma2", "nan")
+        assert r.returncode == 2
+        assert "noise_variance_hint" in r.stderr
+        assert r.stdout == ""
+
     def test_ragged_rows_rejected(self, tmp_path):
         samples, basis, _, _ = self.make_files(tmp_path)
         with open(samples, "a") as fh:
