@@ -18,13 +18,16 @@ Two regimes are implemented:
   present and levels off at a finite value otherwise.
 
 The spectral state depends on the sample count i and the ambient dimension
-n. While i < n the detector stores the samples Y (n x i) and their Gram
-matrix G = Y^T Y, bordered by one row and column per sample at O(n i) cost.
+n. While i < n the detector keeps the samples only in factored form,
+Y = Q^T R (n x i): Q has orthonormal rows and grows by one two-pass
+Gram-Schmidt step per sample at O(n i) cost, R is upper triangular. It also
+keeps G = R^T R = Y^T Y and X = Q Q_s, each bordered by one row per sample.
 The eigenvalues of G / i are the nonzero eigenvalues of the covariance
-Y Y^T / i, and only the top-k eigenvectors are formed, as Y V_k / s_k
-followed by a Cholesky-QR step that keeps them orthonormal. At i = n the
-n x n covariance is built once from Y; from then on it is updated by the
-rank-one recursion R_i = ((i-1)/i) R_{i-1} + y y^T / i and fully
+Y Y^T / i. The top-k eigenvectors are Q^T W for i x k coefficients W, so
+the statistic is computed from W^T X without forming any n x k basis; the
+basis itself is formed only when ``state.signal_basis`` is read. At i = n
+the n x n covariance is built once from Q and R; from then on it is updated
+by the rank-one recursion S_i = ((i-1)/i) S_{i-1} + y y^T / i and fully
 eigendecomposed on every sample.
 
 The statistic is computed in the log domain; 1/T is capped at 1e308.
@@ -41,9 +44,8 @@ import numpy as np
 
 from .geometry import (
     SubspaceBasis,
-    incremental_volume_factor,
-    projector_complement_apply,
-    stacked_log_volume,
+    cross_gram_log_volume,
+    gram_schmidt_step,
     symmetric_eig,
     volume,
 )
@@ -114,22 +116,34 @@ class DetectorState:
     config: DetectorConfig
     sample_count: int
     estimated_rank: int
-    signal_basis: SubspaceBasis
     trajectory: list[tuple[int, float, float, int]]
     decision: Decision
-    # While sample_count < n: the samples as rows of a buffer that grows by
-    # doubling up to n - 1 rows, and their Gram matrix in a buffer of the same
-    # capacity. At sample_count = n both are released and the n x n
-    # covariance takes over.
-    _samples: np.ndarray | None
+    # While sample_count = i < n: the samples as Y = Q^T R, with Q's
+    # orthonormal rows (a zero row where a sample adds no new direction) and
+    # the upper-triangular R, plus G = R^T R and X = Q Q_s, all in buffers
+    # that grow by doubling up to n - 1 rows; _basis holds the i x k
+    # coefficients W of the signal basis Q^T W. At i = n the n x n
+    # covariance takes over, the buffers are released and _basis holds the
+    # n x k top eigenvector block.
+    _q: np.ndarray | None
+    _r: np.ndarray | None
     _gram: np.ndarray | None
+    _x: np.ndarray | None
+    _basis: np.ndarray
     _cov: np.ndarray | None = None
+
+    @property
+    def signal_basis(self) -> SubspaceBasis:
+        """Orthonormal basis of the estimated signal subspace, formed when read."""
+        if self._cov is None:
+            return SubspaceBasis(self._q[: self.sample_count].T @ self._basis)
+        return SubspaceBasis(self._basis)
 
     @property
     def covariance(self) -> np.ndarray:
         """Running sample covariance (1/i) sum_j y_j y_j^T, as a read-only array."""
         if self._cov is None:
-            rows = self._samples[: self.sample_count]
+            rows = _sample_rows(self, self.sample_count)
             cov = rows.T @ rows / max(self.sample_count, 1)
         else:
             cov = self._cov.view()
@@ -138,6 +152,13 @@ class DetectorState:
 
 
 _INITIAL_CAPACITY = 16
+
+# Orthonormality budget of Q's rows and of W, the 1e-10 of SubspaceBasis.
+_ORTHO_TOL = 1e-10
+# A residual below this fraction of the sample's norm adds no direction (a
+# zero sample, or a repeat of the span to rounding); its eigenvalue would sit
+# far below the 1e-10 relative floor of estimate_rank.
+_DEPENDENT_TOL = 1e-12
 
 
 def detector_init(cfg: DetectorConfig) -> DetectorState:
@@ -148,11 +169,13 @@ def detector_init(cfg: DetectorConfig) -> DetectorState:
         config=cfg,
         sample_count=0,
         estimated_rank=0,
-        signal_basis=SubspaceBasis(np.empty((n, 0))),
         trajectory=[],
         decision=Decision(Outcome.UNDECIDED),
-        _samples=np.empty((cap, n)),
+        _q=np.empty((cap, n)),
+        _r=np.zeros((cap, cap)),
         _gram=np.empty((cap, cap)),
+        _x=np.empty((cap, cfg.target_basis.dim)),
+        _basis=np.empty((0, 0)),
     )
 
 
@@ -161,8 +184,9 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
 
     With a noise-variance hint: values exceeding ``rank_gap_factor * sigma^2``
     count (with a relative floor so exact zeros never count when sigma = 0).
-    Without a hint: the split maximizing the gap ratio between consecutive
-    eigenvalues. Capped at min(sample_count, n - 1).
+    Without a hint: the split j maximizing the gap ratio lam[j-1] / lam[j]
+    (the first one on ties), scanning only while lam[j-1] is above the floor.
+    Capped at min(sample_count, n - 1).
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.size == 0:
@@ -174,73 +198,68 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
         threshold = max(cfg.rank_gap_factor * cfg.noise_variance_hint, floor)
         k = int(np.sum(lam > threshold))
     else:
-        upper = min(sample_count - 1, n - 1)
-        k = 0
-        best = 0.0
-        for j in range(1, upper + 1):
-            if lam[j - 1] <= floor:
-                break
-            ratio = lam[j - 1] / max(lam[j], floor if floor > 0 else 1e-300)
-            if ratio > best:
-                best = ratio
-                k = j
+        head = lam[: max(min(sample_count - 1, n - 1), 0)]
+        below = np.flatnonzero(head <= floor)
+        head = head[: below[0]] if below.size else head
+        ratios = head / np.maximum(lam[1 : head.size + 1], floor if floor > 0 else 1e-300)
+        k = int(np.argmax(ratios)) + 1 if ratios.size and ratios.max() > 0 else 0
     return max(0, min(k, cap))
 
 
-def _store_sample(state: DetectorState, vec: np.ndarray, i: int) -> np.ndarray:
-    """Write sample i as row i - 1 of the buffer; return the i stored rows."""
-    cap, n = state._samples.shape
-    if i > cap:
-        cap = min(2 * cap, n - 1)
-        samples = np.empty((cap, n))
-        samples[: i - 1] = state._samples[: i - 1]
-        gram = np.empty((cap, cap))
-        gram[: i - 1, : i - 1] = state._gram[: i - 1, : i - 1]
-        state._samples, state._gram = samples, gram
-    state._samples[i - 1] = vec
-    return state._samples[:i]
+def _sample_rows(state: DetectorState, count: int) -> np.ndarray:
+    """The first ``count`` samples as rows, Y^T = R^T Q."""
+    return state._r[:count, :count].T @ state._q[:count]
 
 
-def _gram_eig(state: DetectorState, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Border the Gram matrix with the newest sample and eigendecompose it.
+def _append_sample(state: DetectorState, vec: np.ndarray, i: int) -> None:
+    """Extend Q, R, G and X by sample i, doubling the buffers when full.
 
-    ``rows`` holds the i samples as rows (Y^T). Returns G = Y^T Y and the
-    eigenvalues, descending, and eigenvectors of G / i. These eigenvalues
-    are the nonzero part of the covariance spectrum.
+    One two-pass Gram-Schmidt step gives the new column of R and, unless the
+    residual is negligible, a new direction of Q, which must be orthogonal to
+    the stored ones.
     """
-    i = rows.shape[0]
-    border = rows @ rows[-1]
+    target = state.config.target_basis.basis
+    if i > state._r.shape[0]:
+        n, old = vec.size, i - 1
+        cap = min(2 * state._r.shape[0], n - 1)
+        q, r = np.empty((cap, n)), np.zeros((cap, cap))
+        gram, x = np.empty((cap, cap)), np.empty((cap, target.shape[1]))
+        q[:old], r[:old, :old] = state._q[:old], state._r[:old, :old]
+        gram[:old, :old], x[:old] = state._gram[:old, :old], state._x[:old]
+        state._q, state._r, state._gram, state._x = q, r, gram, x
+    Q, R = state._q, state._r
+    coef, resid = gram_schmidt_step(Q[: i - 1], vec)
+    rho = float(np.linalg.norm(resid))
+    if rho > _DEPENDENT_TOL * np.linalg.norm(vec):
+        q = resid / rho
+        if np.max(np.abs(Q[: i - 1] @ q), initial=0.0) > _ORTHO_TOL:
+            raise ValueError("stored sample directions are not orthonormal")
+    else:
+        rho, q = 0.0, 0.0
+    Q[i - 1] = q
+    R[: i - 1, i - 1] = coef
+    R[i - 1, i - 1] = rho
+    state._x[i - 1] = Q[i - 1] @ target
+    border = R[:i, :i].T @ R[:i, i - 1]
     state._gram[i - 1, :i] = border
     state._gram[:i, i - 1] = border
-    G = state._gram[:i, :i]
-    w, V = np.linalg.eigh(G / i)
-    return G, w[::-1], V[:, ::-1]
 
 
-# Orthonormality defect above which the top-k basis gets a second
-# Cholesky-QR step; 100x below the 1e-10 that SubspaceBasis enforces.
-_BASIS_DEFECT_TOL = 1e-12
+def _signal_coefficients(R: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Coefficients W, in the rows of Q, of the covariance eigenvectors for V.
 
-
-def _top_basis(rows: np.ndarray, G: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Orthonormal n x k basis of the covariance eigenvectors for V's columns.
-
-    For an eigenpair (lam, v) of G / i, Y v / sqrt(i lam) is a unit
-    eigenvector of the covariance, so the basis is Y C with
-    C = V diag(1/sqrt(i lam)). Forming it squares the condition number of
-    Y, so one Cholesky-QR step follows, taken on the i x k coefficients:
-    with C^T G C = L L^T the basis is Y C L^{-T}. That step cannot see the
-    rounding in G itself, which an ill-conditioned Y (a noiseless block at
-    i = d1) amplifies past 1e-10; when the formed basis shows it, a second
-    step is taken on the n x k columns.
+    For an eigenpair (lam, v) of G / i, Y v / sqrt(i lam) = Q^T R v / sqrt(i lam)
+    is a unit eigenvector of the covariance, so Z = R V diag(1/sqrt(i lam))
+    holds their coefficients. One Cholesky-QR step, computed from R rather
+    than from the rounded G, makes them orthonormal: W = Z L^{-T} with
+    Z^T Z = L L^T.
     """
-    C = V / np.sqrt(rows.shape[0] * lam)
-    L = np.linalg.cholesky(C.T @ G @ C)
-    U = rows.T @ (C @ np.linalg.inv(L).T)
-    P = U.T @ U
-    if np.max(np.abs(P - np.eye(P.shape[0])), initial=0.0) > _BASIS_DEFECT_TOL:
-        U = U @ np.linalg.inv(np.linalg.cholesky(P)).T
-    return U
+    Z = R @ (V / np.sqrt(R.shape[0] * lam))
+    L = np.linalg.cholesky(Z.T @ Z)
+    W = np.linalg.solve(L, Z.T).T
+    if np.max(np.abs(W.T @ W - np.eye(W.shape[1])), initial=0.0) > _ORTHO_TOL:
+        raise ValueError("signal basis coefficients are not orthonormal")
+    return W
 
 
 def ingest(state: DetectorState, y: Sample | np.ndarray) -> DetectorState:
@@ -256,30 +275,29 @@ def ingest(state: DetectorState, y: Sample | np.ndarray) -> DetectorState:
     i = state.sample_count + 1
     state.sample_count = i
     if i < n:
-        rows = _store_sample(state, vec, i)
-        G, lam_i, V = _gram_eig(state, rows)
+        _append_sample(state, vec, i)
+        w, V = np.linalg.eigh(state._gram[:i, :i] / i)
         lam = np.zeros(n)
-        lam[:i] = np.maximum(lam_i, 0.0)
+        lam[:i] = np.maximum(w[::-1], 0.0)
         k = estimate_rank(lam, cfg, i)
-        basis = _top_basis(rows, G, V[:, :k], lam[:k])
+        basis = _signal_coefficients(state._r[:i, :i], V[:, ::-1][:, :k], lam[:k])
+        cross_gram = basis.T @ state._x[:i]
     else:
         if i == n:
-            rows = state._samples[: n - 1]
+            rows = _sample_rows(state, n - 1)
             state._cov = (rows.T @ rows + np.outer(vec, vec)) / n
-            state._samples = state._gram = None
+            state._q = state._r = state._gram = state._x = None
         else:
             state._cov *= (i - 1) / i
             state._cov += np.outer(vec, vec) / i
         pairs = symmetric_eig(state._cov)
         k = estimate_rank(pairs.values, cfg, i)
         basis = pairs.vectors[:, :k]
+        cross_gram = basis.T @ cfg.target_basis.basis
     state.estimated_rank = k
-    state.signal_basis = SubspaceBasis(basis)
+    state._basis = basis
 
-    if k == 0:
-        log_t = 0.0
-    else:
-        log_t = stacked_log_volume(state.signal_basis, cfg.target_basis)
+    log_t = cross_gram_log_volume(cross_gram, n)
     t = math.exp(log_t) if log_t > -700 else 0.0
     inv_t = min(math.exp(-log_t), INV_T_CAP) if log_t > -710 else INV_T_CAP
     state.trajectory.append((i, t, inv_t, k))
@@ -327,31 +345,37 @@ def noiseless_breakpoint(
     """Breakpoint search for the noiseless regime.
 
     Tracks Vol([Q_y, Q_s]) through the one-column-at-a-time residual
-    recursion. Returns ``(m, target_present)`` where m is the first sample
-    count at which the stacked volume drops to ``tol`` or below, and the
-    hypothesis is decided by whether the samples alone still have positive
-    volume there. ``(None, None)`` if the stream ends first.
+    recursion, keeping orthonormal rows for [Q_s, sample directions] so that
+    each factor costs one Gram-Schmidt step. Returns ``(m, target_present)``
+    where m is the first sample count at which the stacked volume drops to
+    ``tol`` or below, and the hypothesis is decided by whether the samples
+    alone still have positive volume there. ``(None, None)`` if the stream
+    ends first.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = target_basis.ambient_dim
-    sample_dirs = SubspaceBasis(np.empty((n, 0)))
+    sample_dirs = np.empty((0, n))
+    stacked_dirs = target_basis.basis.T
     stacked_vol = 1.0
     raw: list[np.ndarray] = []
     for m, y in enumerate(samples, start=1):
         vec = y.vector if isinstance(y, Sample) else np.asarray(y, dtype=float)
         raw.append(vec)
-        r = projector_complement_apply(sample_dirs, vec)
-        if np.linalg.norm(r) <= tol * max(np.linalg.norm(vec), 1e-300):
+        _, r = gram_schmidt_step(sample_dirs, vec)
+        r_norm = np.linalg.norm(r)
+        if r_norm <= tol * max(np.linalg.norm(vec), 1e-300):
             # Sample adds no new direction: column count exceeds the span
             # dimension, so the stacked volume at dimension m + d2 is zero.
             stacked_vol = 0.0
         else:
-            q = r / np.linalg.norm(r)
-            stacked_vol *= incremental_volume_factor(
-                target_basis.basis, sample_dirs.basis, q
-            )
-            sample_dirs = SubspaceBasis(np.column_stack([sample_dirs.basis, q]))
+            q = r / r_norm
+            _, s = gram_schmidt_step(stacked_dirs, q)
+            factor = np.linalg.norm(s)
+            stacked_vol *= factor
+            if stacked_vol > tol:
+                sample_dirs = np.vstack([sample_dirs, q])
+                stacked_dirs = np.vstack([stacked_dirs, s / factor])
         if stacked_vol <= tol:
             sample_vol = volume(np.column_stack(raw), m)
             return m, bool(sample_vol > tol)

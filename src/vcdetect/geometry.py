@@ -25,6 +25,8 @@ __all__ = [
     "principal_angles",
     "volume_correlation",
     "stacked_log_volume",
+    "cross_gram_log_volume",
+    "gram_schmidt_step",
     "incremental_volume_factor",
     "projector_complement_apply",
     "symmetric_eig",
@@ -162,8 +164,8 @@ def principal_angles(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:
     return np.sort(np.arccos(c))
 
 
-def _cross_sines_squared(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:
-    c = np.linalg.svd(A.basis.T @ B.basis, compute_uv=False)
+def _sines_squared(cross_gram: np.ndarray) -> np.ndarray:
+    c = np.linalg.svd(cross_gram, compute_uv=False)
     c = np.clip(c, 0.0, 1.0)
     return np.clip(1.0 - c * c, 0.0, 1.0)
 
@@ -181,26 +183,48 @@ def volume_correlation(A: SubspaceBasis, B: SubspaceBasis) -> float:
         return 1.0
     if A.dim + B.dim > A.ambient_dim:
         return 0.0
-    return float(np.prod(np.sqrt(_cross_sines_squared(A, B))))
+    return float(np.prod(np.sqrt(_sines_squared(A.basis.T @ B.basis))))
 
 
 def stacked_log_volume(A: SubspaceBasis, B: SubspaceBasis) -> float:
-    """log of Vol_{dA+dB}([A, B]) for orthonormal blocks; -inf if it vanishes.
-
-    Uses the Gram-form reduction det^{1/2}(B^T P_A^perp B), evaluated through
-    the singular values of the cross-Gram matrix A^T B, which keeps the
-    computation in a min(dA, dB)-sized problem.
-    """
+    """log of Vol_{dA+dB}([A, B]) for orthonormal blocks; -inf if it vanishes."""
     if A.ambient_dim != B.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    if A.dim == 0 or B.dim == 0:
+    return cross_gram_log_volume(A.basis.T @ B.basis, A.ambient_dim)
+
+
+def cross_gram_log_volume(cross_gram, ambient_dim: int) -> float:
+    """log of Vol_{dA+dB}([A, B]) from the cross-Gram matrix A^T B.
+
+    A and B are orthonormal blocks in R^ambient_dim. Uses the Gram-form
+    reduction det^{1/2}(B^T P_A^perp B): the product of the sines of the
+    principal angles, whose cosines are the singular values of A^T B, a
+    min(dA, dB)-sized problem. 0.0 if a block is empty, -inf if it vanishes.
+    """
+    cross_gram = np.asarray(cross_gram, dtype=float)
+    d_a, d_b = cross_gram.shape
+    if d_a == 0 or d_b == 0:
         return 0.0
-    if A.dim + B.dim > A.ambient_dim:
+    if d_a + d_b > ambient_dim:
         return float("-inf")
-    sin2 = _cross_sines_squared(A, B)
+    sin2 = _sines_squared(cross_gram)
     if np.any(sin2 < SINGULAR_VALUE_FLOOR**2):
         return float("-inf")
     return float(0.5 * np.sum(np.log(sin2)))
+
+
+def gram_schmidt_step(rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and residual of v against orthonormal rows, by two passes.
+
+    Returns ``(c, r)`` with v = c @ rows + r. Classical Gram-Schmidt applied
+    twice keeps r orthogonal to the rows to working precision ("twice is
+    enough": Giraud, Langou & Rozloznik, 2005).
+    """
+    c = rows @ v
+    r = v - c @ rows
+    c2 = rows @ r
+    r -= c2 @ rows
+    return c + c2, r
 
 
 def projector_complement_apply(B: SubspaceBasis, v) -> np.ndarray:
@@ -211,12 +235,7 @@ def projector_complement_apply(B: SubspaceBasis, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (B.ambient_dim,):
         raise ValueError(f"vector length {v.shape} does not match ambient dim {B.ambient_dim}")
-    if B.dim == 0:
-        return v.copy()
-    Q = B.basis
-    r = v - Q @ (Q.T @ v)
-    r -= Q @ (Q.T @ r)
-    return r
+    return gram_schmidt_step(B.basis.T, v)[1]
 
 
 def incremental_volume_factor(X, Yprev, y) -> float:

@@ -122,6 +122,40 @@ class TestEstimateRank:
         with pytest.raises(ValueError):
             estimate_rank([], self.cfg(hint=1.0), 3)
 
+    @staticmethod
+    def loop_gap_rank(lam, sample_count):
+        """The no-hint rule as first written, one split at a time."""
+        lam = np.asarray(lam, dtype=float)
+        n = lam.size
+        floor = 1e-10 * max(lam[0], 0.0)
+        k, best = 0, 0.0
+        for j in range(1, min(sample_count - 1, n - 1) + 1):
+            if lam[j - 1] <= floor:
+                break
+            ratio = lam[j - 1] / max(lam[j], floor if floor > 0 else 1e-300)
+            if ratio > best:
+                best, k = ratio, j
+        return max(0, min(k, min(sample_count, n - 1)))
+
+    def test_gap_rule_matches_loop(self):
+        rng = np.random.default_rng(35)
+        cfg = self.cfg(hint=None)
+        spectra = [np.zeros(6), np.ones(6), np.array([3.0, 3.0, 1.0, 1.0, 0.0, 0.0]),
+                   np.array([0.0, 5.0, 1.0])]  # the scan stops at once when lam[0] <= 0
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            lam = np.sort(rng.exponential(size=n) ** rng.integers(1, 4))[::-1]
+            if rng.random() < 0.5:  # ties
+                lam = np.round(lam, 1)
+            if rng.random() < 0.5:  # exact zeros in the tail
+                lam[rng.integers(0, n) :] = 0.0
+            if rng.random() < 0.2:  # slightly negative values, as eigh can give
+                lam[-1] = -1e-17
+            spectra.append(lam)
+        for lam in spectra:
+            for count in sorted({0, 1, 2, lam.size // 2, lam.size - 1, lam.size, lam.size + 5}):
+                assert estimate_rank(lam, cfg, count) == self.loop_gap_rank(lam, count)
+
 
 class TestDecide:
     def test_divergence_wins(self):
@@ -193,7 +227,7 @@ class TestConfigValidation:
 
 
 def reference_spectrum_run(cfg, samples):
-    """(k_i, 1/T) per sample from the spectrum as first implemented.
+    """(k_i, 1/T, top-k vectors) per sample from the spectrum as first implemented.
 
     The covariance follows the rank-one recursion from the first sample. While
     i < n the spectrum is the SVD of the n x i sample block scaled by
@@ -217,7 +251,7 @@ def reference_spectrum_run(cfg, samples):
             lam, vecs = w[::-1], V[:, ::-1]
         k = estimate_rank(lam, cfg, i)
         log_t = stacked_log_volume(SubspaceBasis(vecs[:, :k]), cfg.target_basis) if k else 0.0
-        out.append((k, min(math.exp(-log_t), 1e308) if log_t > -710 else 1e308))
+        out.append((k, min(math.exp(-log_t), 1e308) if log_t > -710 else 1e308, vecs[:, :k]))
     return out
 
 
@@ -240,9 +274,9 @@ class TestSpectralState:
             for y in ys:
                 ingest(state, y)
             want = reference_spectrum_run(cfg, ys)
-            assert [row[3] for row in state.trajectory] == [k for k, _ in want]
+            assert [row[3] for row in state.trajectory] == [k for k, _, _ in want]
             got_inv_t = np.array([row[2] for row in state.trajectory])
-            want_inv_t = np.array([inv_t for _, inv_t in want])
+            want_inv_t = np.array([inv_t for _, inv_t, _ in want])
             np.testing.assert_allclose(got_inv_t, want_inv_t, rtol=self.INV_T_RTOL, atol=0)
 
     def test_ill_conditioned_noiseless_block_stays_orthonormal(self):
@@ -264,6 +298,86 @@ class TestSpectralState:
             assert np.max(np.abs(B.T @ B - np.eye(d1))) <= 1e-10
             want_inv_t = reference_spectrum_run(cfg, ys)[-1][1]
             assert state.trajectory[-1][2] == pytest.approx(want_inv_t, rel=self.INV_T_RTOL)
+
+    def test_signal_basis_matches_reference_projector(self):
+        # Both tolerances were fixed before the QR state was run: 1e-10 is the
+        # SubspaceBasis budget, and a projector accurate to 1e-9 keeps 1/T
+        # within INV_T_RTOL.
+        n, count = 32, 80
+        for seed, (snr_db, present) in enumerate([(10.0, True), (10.0, False), (0.0, True)]):
+            sc = make_scenario(ScenarioConfig(n, 4, 2, snr_db, present, 520 + seed))
+            cfg = replace(passive_config(sc.target_basis, count), noise_variance_hint=sc.noise_std**2)
+            ys = [s.vector for s in sample_stream(sc, np.random.default_rng(seed), count)]
+            state = detector_init(cfg)
+            for y, (k, _, want) in zip(ys, reference_spectrum_run(cfg, ys)):
+                ingest(state, y)
+                B = state.signal_basis.basis
+                assert B.shape == (n, k)
+                assert np.max(np.abs(B.T @ B - np.eye(k)), initial=0.0) <= 1e-10
+                assert np.max(np.abs(B @ B.T - want @ want.T)) <= 1e-9
+
+    @pytest.mark.parametrize("use_hint", [True, False])
+    def test_zero_and_repeated_samples_match_reference(self, use_hint):
+        n, count = 24, 60
+        sc = make_scenario(ScenarioConfig(n, 4, 2, 10.0, True, 530))
+        hint = sc.noise_std**2 if use_hint else None
+        cfg = replace(passive_config(sc.target_basis, count), noise_variance_hint=hint)
+        rng = np.random.default_rng(531)
+        ys = [s.vector for s in sample_stream(sc, rng, count)]
+        ys[0] = np.zeros(n)
+        ys[4] = ys[2].copy()
+        ys[9] = -2.5 * ys[3]
+        ys[10] = np.zeros(n)
+        ys[15] = 1e-3 * ys[14]
+        ys[n - 1] = ys[n - 2].copy()
+        ys[n + 3] = 3.0 * ys[1]
+        state = detector_init(cfg)
+        for y in ys:
+            ingest(state, y)
+        want = reference_spectrum_run(cfg, ys)
+        assert [row[3] for row in state.trajectory] == [k for k, _, _ in want]
+        np.testing.assert_allclose(
+            [row[2] for row in state.trajectory], [inv_t for _, inv_t, _ in want],
+            rtol=self.INV_T_RTOL, atol=0,
+        )
+
+    def test_noiseless_repeats_match_reference(self):
+        n, d1 = 20, 3
+        sc = noiseless_scenario(n, d1, 2, False, 532)
+        ys = [s.vector for s in sample_stream(sc, np.random.default_rng(533), d1)]
+        ys += [2.0 * ys[0], ys[1].copy(), ys[0] - ys[2], np.zeros(n)]
+        cfg = passive_config(sc.target_basis, len(ys))
+        state = detector_init(cfg)
+        for y in ys:
+            ingest(state, y)
+        # Every sample after the first d1 adds no direction: a zero row of Q
+        # with R_ii = 0.
+        assert np.all(state._q[d1 : len(ys)] == 0.0)
+        assert np.all(np.diag(state._r)[d1 : len(ys)] == 0.0)
+        want = reference_spectrum_run(cfg, ys)
+        assert [row[3] for row in state.trajectory] == [k for k, _, _ in want]
+        np.testing.assert_allclose(
+            [row[2] for row in state.trajectory], [inv_t for _, inv_t, _ in want],
+            rtol=self.INV_T_RTOL, atol=0,
+        )
+
+    @pytest.mark.parametrize("corrupt", ["scale", "duplicate", "tilt"])
+    def test_corrupted_direction_is_rejected(self, corrupt):
+        # After two Gram-Schmidt passes a defect d in the stored rows leaves
+        # about d^2 in the new row, so the tilt is 1e-3 against the 1e-10 check.
+        n = 16
+        rng = np.random.default_rng(534)
+        state = detector_init(passive_config(SubspaceBasis(np.eye(n)[:, :2]), 20))
+        for _ in range(5):
+            ingest(state, rng.standard_normal(n))
+        if corrupt == "scale":
+            state._q[1] *= 1.5
+        elif corrupt == "duplicate":
+            state._q[3] = state._q[0]
+        else:
+            state._q[2] += 1e-3 * state._q[4]
+        with pytest.raises(ValueError, match="orthonormal"):
+            ingest(state, rng.standard_normal(n))
 
     def test_covariance_property_matches_batch_mean(self):
         n = 32
