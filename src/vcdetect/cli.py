@@ -81,6 +81,8 @@ def _load_matrix_csv(path: str, what: str) -> np.ndarray:
                     row = [float(v) for v in line.split(",")]
                 except ValueError as exc:
                     raise InputError(f"{what} row {lineno}: {exc}") from exc
+                if not all(np.isfinite(row)):
+                    raise InputError(f"{what} row {lineno} has a non-finite entry")
                 if width is None:
                     width = len(row)
                 elif len(row) != width:

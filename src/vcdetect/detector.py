@@ -17,18 +17,17 @@ Two regimes are implemented:
   where Q_hat_i spans the top eigenvectors. 1/T diverges when the target is
   present and levels off at a finite value otherwise.
 
-The spectral state depends on the sample count i and the ambient dimension
-n. While i < n the detector keeps the samples only in factored form,
-Y = Q^T R (n x i): Q has orthonormal rows and grows by one two-pass
-Gram-Schmidt step per sample at O(n i) cost, R is upper triangular. It also
-keeps G = R^T R = Y^T Y and X = Q Q_s, each bordered by one row per sample.
-The eigenvalues of G / i are the nonzero eigenvalues of the covariance
-Y Y^T / i. The top-k eigenvectors are Q^T W for i x k coefficients W, so
-the statistic is computed from W^T X without forming any n x k basis; the
-basis itself is formed only when ``state.signal_basis`` is read. At i = n
-the n x n covariance is built once from Q and R; from then on it is updated
-by the rank-one recursion S_i = ((i-1)/i) S_{i-1} + y y^T / i and fully
-eigendecomposed on every sample.
+One spectral state serves every sample count i. Q holds, as orthonormal
+rows, the r <= n directions the samples span; each sample takes one
+two-pass Gram-Schmidt step against them at O(n r) cost and adds a row
+unless it lies in their span. X = Q Q_s, and M = Q Y Y^T Q^T (r x r) is the
+scatter in Q coordinates, updated as M <- diag(M, 0) + u u^T with u the
+sample's coefficients (plus its residual norm when it adds a row). The
+eigenvalues of M / i are the nonzero eigenvalues of the covariance
+Y Y^T / i, and its top-k eigenvectors V_k are the orthonormal coefficients
+of the signal basis Q^T V_k, so neither that n x k basis nor the n x n
+covariance is formed unless ``state.signal_basis`` or ``state.covariance``
+is read.
 
 The statistic is computed in the log domain; 1/T is capped at 1e308.
 """
@@ -42,13 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    SubspaceBasis,
-    cross_gram_log_volume,
-    gram_schmidt_step,
-    symmetric_eig,
-    volume,
-)
+from .geometry import SubspaceBasis, gram_schmidt_step, residual_log_volume, volume
 from .scenario import Sample
 
 __all__ = [
@@ -118,42 +111,35 @@ class DetectorState:
     estimated_rank: int
     trajectory: list[tuple[int, float, float, int]]
     decision: Decision
-    # While sample_count = i < n: the samples as Y = Q^T R, with Q's
-    # orthonormal rows (a zero row where a sample adds no new direction) and
-    # the upper-triangular R, plus G = R^T R and X = Q Q_s, all in buffers
-    # that grow by doubling up to n - 1 rows; _basis holds the i x k
-    # coefficients W of the signal basis Q^T W. At i = n the n x n
-    # covariance takes over, the buffers are released and _basis holds the
-    # n x k top eigenvector block.
-    _q: np.ndarray | None
-    _r: np.ndarray | None
-    _gram: np.ndarray | None
-    _x: np.ndarray | None
+    # The first _rank rows of _q are orthonormal directions Q spanning the
+    # samples; _x holds X = Q Q_s and _m the scatter M = Q Y Y^T Q^T, in
+    # buffers that grow by doubling up to n rows. _off is Q_s - Q^T X, the
+    # part of the target basis off that span, and _basis holds the r x k
+    # coefficients V_k of the signal basis Q^T V_k.
+    _q: np.ndarray
+    _x: np.ndarray
+    _m: np.ndarray
+    _off: np.ndarray
     _basis: np.ndarray
-    _cov: np.ndarray | None = None
+    _rank: int = 0
 
     @property
     def signal_basis(self) -> SubspaceBasis:
         """Orthonormal basis of the estimated signal subspace, formed when read."""
-        if self._cov is None:
-            return SubspaceBasis(self._q[: self.sample_count].T @ self._basis)
-        return SubspaceBasis(self._basis)
+        return SubspaceBasis(self._q[: self._rank].T @ self._basis)
 
     @property
     def covariance(self) -> np.ndarray:
-        """Running sample covariance (1/i) sum_j y_j y_j^T, as a read-only array."""
-        if self._cov is None:
-            rows = _sample_rows(self, self.sample_count)
-            cov = rows.T @ rows / max(self.sample_count, 1)
-        else:
-            cov = self._cov.view()
+        """Running sample covariance (1/i) sum_j y_j y_j^T = Q^T M Q / i, read-only."""
+        q = self._q[: self._rank]
+        cov = q.T @ self._m[: self._rank, : self._rank] @ q / max(self.sample_count, 1)
         cov.flags.writeable = False
         return cov
 
 
 _INITIAL_CAPACITY = 16
 
-# Orthonormality budget of Q's rows and of W, the 1e-10 of SubspaceBasis.
+# Orthonormality budget of Q's rows and of V_k, the 1e-10 of SubspaceBasis.
 _ORTHO_TOL = 1e-10
 # A residual below this fraction of the sample's norm adds no direction (a
 # zero sample, or a repeat of the span to rounding); its eigenvalue would sit
@@ -164,7 +150,7 @@ _DEPENDENT_TOL = 1e-12
 def detector_init(cfg: DetectorConfig) -> DetectorState:
     """Fresh state: no samples, empty trajectory, undecided."""
     n = cfg.target_basis.ambient_dim
-    cap = min(n - 1, _INITIAL_CAPACITY)
+    cap = min(n, _INITIAL_CAPACITY)
     return DetectorState(
         config=cfg,
         sample_count=0,
@@ -172,9 +158,9 @@ def detector_init(cfg: DetectorConfig) -> DetectorState:
         trajectory=[],
         decision=Decision(Outcome.UNDECIDED),
         _q=np.empty((cap, n)),
-        _r=np.zeros((cap, cap)),
-        _gram=np.empty((cap, cap)),
         _x=np.empty((cap, cfg.target_basis.dim)),
+        _m=np.zeros((cap, cap)),
+        _off=cfg.target_basis.basis.copy(),
         _basis=np.empty((0, 0)),
     )
 
@@ -206,98 +192,74 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
     return max(0, min(k, cap))
 
 
-def _sample_rows(state: DetectorState, count: int) -> np.ndarray:
-    """The first ``count`` samples as rows, Y^T = R^T Q."""
-    return state._r[:count, :count].T @ state._q[:count]
+def _append_sample(state: DetectorState, vec: np.ndarray) -> None:
+    """Fold one sample into Q, X, M and the off-span part of Q_s.
 
-
-def _append_sample(state: DetectorState, vec: np.ndarray, i: int) -> None:
-    """Extend Q, R, G and X by sample i, doubling the buffers when full.
-
-    One two-pass Gram-Schmidt step gives the new column of R and, unless the
-    residual is negligible, a new direction of Q, which must be orthogonal to
-    the stored ones.
+    One two-pass Gram-Schmidt step gives the sample's coefficients u in Q
+    and, unless the residual is negligible, a new direction of Q, which must
+    be orthogonal to the stored ones; u then gains the residual norm. M, with
+    a zero row and column for a new direction, gains u u^T.
     """
-    target = state.config.target_basis.basis
-    if i > state._r.shape[0]:
-        n, old = vec.size, i - 1
-        cap = min(2 * state._r.shape[0], n - 1)
-        q, r = np.empty((cap, n)), np.zeros((cap, cap))
-        gram, x = np.empty((cap, cap)), np.empty((cap, target.shape[1]))
-        q[:old], r[:old, :old] = state._q[:old], state._r[:old, :old]
-        gram[:old, :old], x[:old] = state._gram[:old, :old], state._x[:old]
-        state._q, state._r, state._gram, state._x = q, r, gram, x
-    Q, R = state._q, state._r
-    coef, resid = gram_schmidt_step(Q[: i - 1], vec)
+    r = state._rank
+    u, resid = gram_schmidt_step(state._q[:r], vec)
     rho = float(np.linalg.norm(resid))
     if rho > _DEPENDENT_TOL * np.linalg.norm(vec):
         q = resid / rho
-        if np.max(np.abs(Q[: i - 1] @ q), initial=0.0) > _ORTHO_TOL:
+        if np.max(np.abs(state._q[:r] @ q), initial=0.0) > _ORTHO_TOL:
             raise ValueError("stored sample directions are not orthonormal")
-    else:
-        rho, q = 0.0, 0.0
-    Q[i - 1] = q
-    R[: i - 1, i - 1] = coef
-    R[i - 1, i - 1] = rho
-    state._x[i - 1] = Q[i - 1] @ target
-    border = R[:i, :i].T @ R[:i, i - 1]
-    state._gram[i - 1, :i] = border
-    state._gram[:i, i - 1] = border
-
-
-def _signal_coefficients(R: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Coefficients W, in the rows of Q, of the covariance eigenvectors for V.
-
-    For an eigenpair (lam, v) of G / i, Y v / sqrt(i lam) = Q^T R v / sqrt(i lam)
-    is a unit eigenvector of the covariance, so Z = R V diag(1/sqrt(i lam))
-    holds their coefficients. One Cholesky-QR step, computed from R rather
-    than from the rounded G, makes them orthonormal: W = Z L^{-T} with
-    Z^T Z = L L^T.
-    """
-    Z = R @ (V / np.sqrt(R.shape[0] * lam))
-    L = np.linalg.cholesky(Z.T @ Z)
-    W = np.linalg.solve(L, Z.T).T
-    if np.max(np.abs(W.T @ W - np.eye(W.shape[1])), initial=0.0) > _ORTHO_TOL:
-        raise ValueError("signal basis coefficients are not orthonormal")
-    return W
+        if r == state._q.shape[0]:
+            cap = min(2 * r, vec.size)
+            q_buf, x_buf = np.empty((cap, vec.size)), np.empty((cap, state._x.shape[1]))
+            m_buf = np.zeros((cap, cap))
+            q_buf[:r], x_buf[:r], m_buf[:r, :r] = state._q, state._x, state._m
+            state._q, state._x, state._m = q_buf, x_buf, m_buf
+        x = q @ state.config.target_basis.basis
+        state._q[r], state._x[r] = q, x
+        state._off -= np.outer(q, x)
+        u = np.append(u, rho)
+        r = state._rank = r + 1
+    state._m[:r, :r] += np.outer(u, u)
 
 
 def ingest(state: DetectorState, y: Sample | np.ndarray) -> DetectorState:
-    """Fold one sample into the state: spectrum, rank, statistic, decision."""
+    """Fold one sample into the state: spectrum, rank, statistic, decision.
+
+    The eigenpairs of M / i give the spectrum; the top-k eigenvectors V_k are
+    the orthonormal coefficients of the signal basis Q^T V_k. The sines of
+    its principal angles with Q_s are the singular values of the part of Q_s
+    off that basis, [Q_s - Q^T X; V_perp^T X] in orthonormal coordinates.
+    """
     if state.decision.variant is not Outcome.UNDECIDED:
         raise RuntimeError("cannot ingest after a decision was reached")
     vec = y.vector if isinstance(y, Sample) else np.asarray(y, dtype=float)
     cfg = state.config
-    n = cfg.target_basis.ambient_dim
+    n, d2 = cfg.target_basis.ambient_dim, cfg.target_basis.dim
+    i = state.sample_count + 1
     if vec.shape != (n,):
         raise ValueError(f"sample length {vec.shape} does not match ambient dim {n}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"sample {i} has a non-finite entry")
 
-    i = state.sample_count + 1
     state.sample_count = i
-    if i < n:
-        _append_sample(state, vec, i)
-        w, V = np.linalg.eigh(state._gram[:i, :i] / i)
-        lam = np.zeros(n)
-        lam[:i] = np.maximum(w[::-1], 0.0)
-        k = estimate_rank(lam, cfg, i)
-        basis = _signal_coefficients(state._r[:i, :i], V[:, ::-1][:, :k], lam[:k])
-        cross_gram = basis.T @ state._x[:i]
-    else:
-        if i == n:
-            rows = _sample_rows(state, n - 1)
-            state._cov = (rows.T @ rows + np.outer(vec, vec)) / n
-            state._q = state._r = state._gram = state._x = None
-        else:
-            state._cov *= (i - 1) / i
-            state._cov += np.outer(vec, vec) / i
-        pairs = symmetric_eig(state._cov)
-        k = estimate_rank(pairs.values, cfg, i)
-        basis = pairs.vectors[:, :k]
-        cross_gram = basis.T @ cfg.target_basis.basis
+    _append_sample(state, vec)
+    r = state._rank
+    w, V = np.linalg.eigh(state._m[:r, :r])
+    V = V[:, ::-1]
+    lam = np.zeros(n)
+    lam[:r] = np.maximum(w[::-1] / i, 0.0)
+    k = estimate_rank(lam, cfg, i)
+    basis = V[:, :k]
+    if np.max(np.abs(basis.T @ basis - np.eye(k)), initial=0.0) > _ORTHO_TOL:
+        raise ValueError("signal basis coefficients are not orthonormal")
     state.estimated_rank = k
     state._basis = basis
 
-    log_t = cross_gram_log_volume(cross_gram, n)
+    if k == 0:
+        log_t = 0.0
+    elif k + d2 > n:
+        log_t = float("-inf")
+    else:
+        log_t = residual_log_volume(np.vstack([state._off, V[:, k:].T @ state._x[:r]]))
     t = math.exp(log_t) if log_t > -700 else 0.0
     inv_t = min(math.exp(-log_t), INV_T_CAP) if log_t > -710 else INV_T_CAP
     state.trajectory.append((i, t, inv_t, k))

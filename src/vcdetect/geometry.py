@@ -25,7 +25,7 @@ __all__ = [
     "principal_angles",
     "volume_correlation",
     "stacked_log_volume",
-    "cross_gram_log_volume",
+    "residual_log_volume",
     "gram_schmidt_step",
     "incremental_volume_factor",
     "projector_complement_apply",
@@ -187,30 +187,34 @@ def volume_correlation(A: SubspaceBasis, B: SubspaceBasis) -> float:
 
 
 def stacked_log_volume(A: SubspaceBasis, B: SubspaceBasis) -> float:
-    """log of Vol_{dA+dB}([A, B]) for orthonormal blocks; -inf if it vanishes."""
+    """log of Vol_{dA+dB}([A, B]) for orthonormal blocks; -inf if it vanishes.
+
+    0.0 if a block is empty; otherwise the log of the product of the sines of
+    the principal angles, taken from the part (I - A A^T) B of B off span(A).
+    """
     if A.ambient_dim != B.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return cross_gram_log_volume(A.basis.T @ B.basis, A.ambient_dim)
-
-
-def cross_gram_log_volume(cross_gram, ambient_dim: int) -> float:
-    """log of Vol_{dA+dB}([A, B]) from the cross-Gram matrix A^T B.
-
-    A and B are orthonormal blocks in R^ambient_dim. Uses the Gram-form
-    reduction det^{1/2}(B^T P_A^perp B): the product of the sines of the
-    principal angles, whose cosines are the singular values of A^T B, a
-    min(dA, dB)-sized problem. 0.0 if a block is empty, -inf if it vanishes.
-    """
-    cross_gram = np.asarray(cross_gram, dtype=float)
-    d_a, d_b = cross_gram.shape
-    if d_a == 0 or d_b == 0:
+    if A.dim == 0 or B.dim == 0:
         return 0.0
-    if d_a + d_b > ambient_dim:
+    if A.dim + B.dim > A.ambient_dim:
         return float("-inf")
-    sin2 = _sines_squared(cross_gram)
-    if np.any(sin2 < SINGULAR_VALUE_FLOOR**2):
+    return residual_log_volume(B.basis - A.basis @ (A.basis.T @ B.basis))
+
+
+def residual_log_volume(residual) -> float:
+    """log of the product of the singular values of ``residual``.
+
+    ``residual`` holds, in any orthonormal coordinates, the part of an
+    orthonormal block B off the span of another block A; its singular values
+    are the sines of the principal angles between the spans, so the result is
+    log Vol([A, B]). Taking the sines directly rather than as sqrt(1 - cos^2)
+    keeps a vanishing angle at rounding level instead of ~1e-8. -inf if a
+    sine is below ``SINGULAR_VALUE_FLOOR``.
+    """
+    s = np.minimum(np.linalg.svd(residual, compute_uv=False), 1.0)
+    if np.any(s < SINGULAR_VALUE_FLOOR):
         return float("-inf")
-    return float(0.5 * np.sum(np.log(sin2)))
+    return float(np.sum(np.log(s)))
 
 
 def gram_schmidt_step(rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -87,6 +87,17 @@ class TestInitAndCovariance:
         with pytest.raises(ValueError):
             ingest(detector_init(cfg), np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        # Unchecked, a NaN spreads through the eigenstep and is recorded as 1/T = 1.
+        cfg = passive_config(SubspaceBasis(np.eye(6)[:, :2]), 10)
+        state = ingest(detector_init(cfg), np.arange(6.0))
+        y = np.ones(6)
+        y[3] = bad
+        with pytest.raises(ValueError, match="sample 2"):
+            ingest(state, y)
+        assert state.sample_count == 1 and len(state.trajectory) == 1
+
 
 class TestEstimateRank:
     def cfg(self, hint=None, gamma=2.0):
@@ -350,10 +361,30 @@ class TestSpectralState:
         state = detector_init(cfg)
         for y in ys:
             ingest(state, y)
-        # Every sample after the first d1 adds no direction: a zero row of Q
-        # with R_ii = 0.
-        assert np.all(state._q[d1 : len(ys)] == 0.0)
-        assert np.all(np.diag(state._r)[d1 : len(ys)] == 0.0)
+        # Every sample after the first d1 adds no direction, so no row of Q.
+        assert state._rank == d1
+        want = reference_spectrum_run(cfg, ys)
+        assert [row[3] for row in state.trajectory] == [k for k, _, _ in want]
+        np.testing.assert_allclose(
+            [row[2] for row in state.trajectory], [inv_t for _, inv_t, _ in want],
+            rtol=self.INV_T_RTOL, atol=0,
+        )
+
+    @pytest.mark.parametrize("present", [True, False])
+    def test_long_noiseless_stream_keeps_rank_sized_state(self, present):
+        # 3n samples from a (d1 + d2)- or d1-dimensional span: the state stays
+        # r x r past i = n, with no switch to an n x n matrix.
+        n, d1, d2 = 40, 4, 2
+        sc = noiseless_scenario(n, d1, d2, present, 536)
+        ys = [s.vector for s in sample_stream(sc, np.random.default_rng(537), 3 * n)]
+        cfg = passive_config(sc.target_basis, len(ys))
+        state = detector_init(cfg)
+        for y in ys:
+            ingest(state, y)
+        r = d1 + d2 if present else d1
+        assert state._rank == r
+        assert state._q.shape[0] < n and state._m.shape[0] < n
+        assert state.signal_basis.dim == r
         want = reference_spectrum_run(cfg, ys)
         assert [row[3] for row in state.trajectory] == [k for k, _, _ in want]
         np.testing.assert_allclose(
@@ -408,8 +439,9 @@ class TestNoiselessStreaming:
             inv_t = [row[2] for row in state.trajectory]
             assert all(b >= a - 1e-12 for a, b in zip(inv_t, inv_t[1:]))
 
-    def test_present_statistic_collapses_at_breakpoint(self):
-        sc = noiseless_scenario(20, 4, 2, True, 41)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_present_statistic_collapses_at_breakpoint(self, seed):
+        sc = noiseless_scenario(20, 4, 2, True, seed)
         cfg = passive_config(sc.target_basis, 5)
         state = detector_init(cfg)
         for s in sample_stream(sc, np.random.default_rng(42), 5):

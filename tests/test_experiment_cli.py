@@ -195,6 +195,18 @@ class TestDetectCli:
         assert "noise_variance_hint" in r.stderr
         assert r.stdout == ""
 
+    def test_non_finite_sample_rejected_with_row(self, tmp_path):
+        # A nan parses as a float; without the check the stream ran on and
+        # exited 0 as "undecided" or failed inside LAPACK.
+        samples, basis, _, _ = self.make_files(tmp_path)
+        rows = samples.read_text().splitlines()
+        rows[2] = ",".join(["nan"] + rows[2].split(",")[1:])
+        samples.write_text("\n".join(rows) + "\n")
+        r = run_cli("detect", "--samples", str(samples), "--target-basis", str(basis))
+        assert r.returncode == 2
+        assert "row 3" in r.stderr and "non-finite" in r.stderr
+        assert r.stdout == ""
+
     def test_ragged_rows_rejected(self, tmp_path):
         samples, basis, _, _ = self.make_files(tmp_path)
         with open(samples, "a") as fh:

@@ -227,6 +227,16 @@ class TestVolumeCorrelation:
         B = random_basis(rng, 6, 4)
         assert stacked_log_volume(A, B) == -math.inf
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_stacked_log_volume_of_meeting_spans_is_minus_inf(self, seed):
+        # B shares a direction with span(A). Sines taken as sqrt(1 - cos^2)
+        # stop near 1e-8 there, above the 1e-12 floor, on some seeds.
+        rng = np.random.default_rng(seed)
+        A = random_basis(rng, 12, 3)
+        shared = A.basis @ rng.standard_normal(3)
+        B = orthonormalize(np.column_stack([shared, rng.standard_normal((12, 2))]), tol=1e-12)
+        assert stacked_log_volume(A, B) == -math.inf
+
 
 class TestIncrementalVolumeFactor:
     def test_orthogonal_unit_vector(self):
