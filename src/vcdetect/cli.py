@@ -105,13 +105,12 @@ def _cmd_detect(args) -> int:
             f"target basis has {basis_mat.shape[0]} rows but samples have "
             f"length {samples.shape[1]}"
         )
-    G = basis_mat.T @ basis_mat
-    off = np.abs(G - np.eye(basis_mat.shape[1]))
-    if np.max(off) > 1e-8:
-        col = int(np.unravel_index(np.argmax(off), off.shape)[1])
-        raise InputError(f"target basis is not orthonormal (column {col})")
+    try:
+        target = SubspaceBasis(basis_mat)
+    except ValueError as exc:
+        raise InputError(f"target basis: {exc}") from exc
     cfg = DetectorConfig(
-        target_basis=SubspaceBasis(basis_mat),
+        target_basis=target,
         noise_variance_hint=args.sigma2,
         rank_gap_factor=args.gamma,
         divergence_threshold=args.t_div,

@@ -27,7 +27,7 @@ eigenvalues of M / i are the nonzero eigenvalues of the covariance
 Y Y^T / i, and its top-k eigenvectors V_k are the orthonormal coefficients
 of the signal basis Q^T V_k, so neither that n x k basis nor the n x n
 covariance is formed unless ``state.signal_basis`` or ``state.covariance``
-is read.
+is read, nor V_k when the rank cut keeps every direction (see ``ingest``).
 
 The statistic is computed in the log domain; 1/T is capped at 1e308.
 """
@@ -115,18 +115,20 @@ class DetectorState:
     # samples; _x holds X = Q Q_s and _m the scatter M = Q Y Y^T Q^T, in
     # buffers that grow by doubling up to n rows. _off is Q_s - Q^T X, the
     # part of the target basis off that span, and _basis holds the r x k
-    # coefficients V_k of the signal basis Q^T V_k.
+    # coefficients V_k of the signal basis Q^T V_k, or None when k = r and the
+    # basis is Q^T itself.
     _q: np.ndarray
     _x: np.ndarray
     _m: np.ndarray
     _off: np.ndarray
-    _basis: np.ndarray
+    _basis: np.ndarray | None = None
     _rank: int = 0
 
     @property
     def signal_basis(self) -> SubspaceBasis:
         """Orthonormal basis of the estimated signal subspace, formed when read."""
-        return SubspaceBasis(self._q[: self._rank].T @ self._basis)
+        q = self._q[: self._rank]
+        return SubspaceBasis(q.T.copy() if self._basis is None else q.T @ self._basis)
 
     @property
     def covariance(self) -> np.ndarray:
@@ -161,7 +163,6 @@ def detector_init(cfg: DetectorConfig) -> DetectorState:
         _x=np.empty((cap, cfg.target_basis.dim)),
         _m=np.zeros((cap, cap)),
         _off=cfg.target_basis.basis.copy(),
-        _basis=np.empty((0, 0)),
     )
 
 
@@ -190,6 +191,11 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
         ratios = head / np.maximum(lam[1 : head.size + 1], floor if floor > 0 else 1e-300)
         k = int(np.argmax(ratios)) + 1 if ratios.size and ratios.max() > 0 else 0
     return max(0, min(k, cap))
+
+
+def _spectrum(w: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Covariance eigenvalues, descending and padded to n, from those of M (ascending)."""
+    return np.concatenate([np.maximum(w[::-1] / i, 0.0), np.zeros(n - w.size)])
 
 
 def _append_sample(state: DetectorState, vec: np.ndarray) -> None:
@@ -224,10 +230,12 @@ def _append_sample(state: DetectorState, vec: np.ndarray) -> None:
 def ingest(state: DetectorState, y: Sample | np.ndarray) -> DetectorState:
     """Fold one sample into the state: spectrum, rank, statistic, decision.
 
-    The eigenpairs of M / i give the spectrum; the top-k eigenvectors V_k are
-    the orthonormal coefficients of the signal basis Q^T V_k. The sines of
-    its principal angles with Q_s are the singular values of the part of Q_s
-    off that basis, [Q_s - Q^T X; V_perp^T X] in orthonormal coordinates.
+    The eigenvalues of M / i give the spectrum; the top-k eigenvectors V_k
+    are the orthonormal coefficients of the signal basis Q^T V_k. The sines
+    of its principal angles with Q_s are the singular values of the part of
+    Q_s off that basis, [Q_s - Q^T X; V_perp^T X] in orthonormal coordinates.
+    When k = r that part is Q_s - Q^T X alone, so after a k = r step only the
+    eigenvalues are taken, and the eigenvectors only if the cut falls below r.
     """
     if state.decision.variant is not Outcome.UNDECIDED:
         raise RuntimeError("cannot ingest after a decision was reached")
@@ -240,26 +248,30 @@ def ingest(state: DetectorState, y: Sample | np.ndarray) -> DetectorState:
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"sample {i} has a non-finite entry")
 
+    kept_all = state.estimated_rank == state._rank
     state.sample_count = i
     _append_sample(state, vec)
     r = state._rank
-    w, V = np.linalg.eigh(state._m[:r, :r])
-    V = V[:, ::-1]
-    lam = np.zeros(n)
-    lam[:r] = np.maximum(w[::-1] / i, 0.0)
-    k = estimate_rank(lam, cfg, i)
-    basis = V[:, :k]
-    if np.max(np.abs(basis.T @ basis - np.eye(k)), initial=0.0) > _ORTHO_TOL:
-        raise ValueError("signal basis coefficients are not orthonormal")
+    m = state._m[:r, :r]
+    w, V = (np.linalg.eigvalsh(m), None) if kept_all else np.linalg.eigh(m)
+    k = estimate_rank(_spectrum(w, n, i), cfg, i)
+    if V is None and k < r:
+        w, V = np.linalg.eigh(m)
+        k = estimate_rank(_spectrum(w, n, i), cfg, i)
+    if V is not None:
+        V = V[:, ::-1]
+        if np.max(np.abs(V[:, :k].T @ V[:, :k] - np.eye(k)), initial=0.0) > _ORTHO_TOL:
+            raise ValueError("signal basis coefficients are not orthonormal")
     state.estimated_rank = k
-    state._basis = basis
+    state._basis = None if k == r else V[:, :k]
 
     if k == 0:
         log_t = 0.0
     elif k + d2 > n:
         log_t = float("-inf")
     else:
-        log_t = residual_log_volume(np.vstack([state._off, V[:, k:].T @ state._x[:r]]))
+        off = state._off if k == r else np.vstack([state._off, V[:, k:].T @ state._x[:r]])
+        log_t = residual_log_volume(off)
     t = math.exp(log_t) if log_t > -700 else 0.0
     inv_t = min(math.exp(-log_t), INV_T_CAP) if log_t > -710 else INV_T_CAP
     state.trajectory.append((i, t, inv_t, k))

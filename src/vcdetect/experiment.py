@@ -202,17 +202,12 @@ def summarize(records) -> dict:
             finals.append(last.inv_T)
             decisions[last.decision or Outcome.UNDECIDED.value] += 1
         depth = min(max(r.i for r in recs) for recs in by_trial.values())
-        per_m = {
-            str(q): [
-                float(
-                    np.quantile(
-                        [r.inv_T for r in rows if r.i == m], q
-                    )
-                )
-                for m in range(1, depth + 1)
-            ]
-            for q in (0.1, 0.5, 0.9)
-        }
+        by_m: list[list[float]] = [[] for _ in range(depth)]
+        for r in rows:
+            if r.i <= depth:
+                by_m[r.i - 1].append(r.inv_T)
+        levels = (0.1, 0.5, 0.9)
+        per_m = dict(zip(map(str, levels), np.quantile(by_m, levels, axis=1).tolist()))
         out[hyp] = {
             "trials": len(by_trial),
             "decisions": decisions,

@@ -57,9 +57,10 @@ class SubspaceBasis:
         if B.shape[1] > B.shape[0]:
             raise ValueError("subspace dimension exceeds ambient dimension")
         if B.shape[1] > 0:
-            G = B.T @ B
-            if np.max(np.abs(G - np.eye(B.shape[1]))) > 1e-10:
-                raise ValueError("basis columns are not orthonormal")
+            off = np.abs(B.T @ B - np.eye(B.shape[1]))
+            if np.max(off) > 1e-10:
+                col = int(np.unravel_index(np.argmax(off), off.shape)[1])
+                raise ValueError(f"basis columns are not orthonormal (column {col})")
 
     @property
     def ambient_dim(self) -> int:
@@ -152,22 +153,24 @@ def log_volume(X, d: int) -> float:
 def principal_angles(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:
     """Principal angles between span(A) and span(B), ascending, in [0, pi/2].
 
-    Computed as arccos of the singular values of A^T B, clamped to [0, 1]
-    before the arccos.
+    Each angle is arctan2(sine, cosine), with the cosines from A^T B and the
+    sines from ``_sines``, so it is accurate near 0 and near pi/2 alike.
     """
     if A.ambient_dim != B.ambient_dim:
         raise ValueError("ambient dimensions differ")
     if A.dim < 1 or B.dim < 1:
         raise ValueError("both subspaces must have dimension >= 1")
-    c = np.linalg.svd(A.basis.T @ B.basis, compute_uv=False)
-    c = np.clip(c, 0.0, 1.0)
-    return np.sort(np.arccos(c))
+    c = np.minimum(np.linalg.svd(A.basis.T @ B.basis, compute_uv=False), 1.0)
+    return np.sort(np.arctan2(_sines(A, B), c))
 
 
-def _sines_squared(cross_gram: np.ndarray) -> np.ndarray:
-    c = np.linalg.svd(cross_gram, compute_uv=False)
-    c = np.clip(c, 0.0, 1.0)
-    return np.clip(1.0 - c * c, 0.0, 1.0)
+def _sines(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:
+    """Sines of the principal angles, ascending: the singular values of the part of
+    the smaller block off the larger one (~1e-16, not ~1e-8, for a shared direction)."""
+    if A.dim < B.dim:
+        A, B = B, A
+    s = np.linalg.svd(B.basis - A.basis @ (A.basis.T @ B.basis), compute_uv=False)
+    return np.minimum(s[::-1], 1.0)
 
 
 def volume_correlation(A: SubspaceBasis, B: SubspaceBasis) -> float:
@@ -183,7 +186,7 @@ def volume_correlation(A: SubspaceBasis, B: SubspaceBasis) -> float:
         return 1.0
     if A.dim + B.dim > A.ambient_dim:
         return 0.0
-    return float(np.prod(np.sqrt(_sines_squared(A.basis.T @ B.basis))))
+    return float(np.prod(_sines(A, B)))
 
 
 def stacked_log_volume(A: SubspaceBasis, B: SubspaceBasis) -> float:

@@ -147,6 +147,17 @@ class TestTau:
         with pytest.raises(ValueError):
             tau(a, b)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_subspaces_sharing_a_direction_rejected(self, seed):
+        # With sines taken from the cosines, tau read ~1e-8 here on some seeds
+        # and the intersection guard (< 1e-12) did not fire.
+        rng = np.random.default_rng(seed)
+        clutter = orthonormalize(rng.standard_normal((12, 3)), tol=1e-12)
+        g, c, g2 = rng.standard_normal(12), rng.standard_normal(3), rng.standard_normal(12)
+        target = orthonormalize(np.column_stack([g, clutter.basis @ c, g2]), tol=1e-12)
+        with pytest.raises(ValueError, match="intersect"):
+            tau(target, clutter)
+
 
 class TestValidateConvergence:
     def cfg_for(self, sc, **kw):

@@ -237,6 +237,21 @@ class TestConfigValidation:
         assert cfg.divergence_threshold == math.inf
 
 
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Names of the np.linalg eigen-solvers called, in order."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls.append(_name)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def reference_spectrum_run(cfg, samples):
     """(k_i, 1/T, top-k vectors) per sample from the spectrum as first implemented.
 
@@ -371,9 +386,10 @@ class TestSpectralState:
         )
 
     @pytest.mark.parametrize("present", [True, False])
-    def test_long_noiseless_stream_keeps_rank_sized_state(self, present):
+    def test_long_noiseless_stream_keeps_rank_sized_state(self, present, eig_calls):
         # 3n samples from a (d1 + d2)- or d1-dimensional span: the state stays
-        # r x r past i = n, with no switch to an n x n matrix.
+        # r x r past i = n, with no switch to an n x n matrix. The cut keeps
+        # every direction throughout, so no eigenvector is ever computed.
         n, d1, d2 = 40, 4, 2
         sc = noiseless_scenario(n, d1, d2, present, 536)
         ys = [s.vector for s in sample_stream(sc, np.random.default_rng(537), 3 * n)]
@@ -381,10 +397,55 @@ class TestSpectralState:
         state = detector_init(cfg)
         for y in ys:
             ingest(state, y)
+        assert eig_calls == ["eigvalsh"] * len(ys)
         r = d1 + d2 if present else d1
         assert state._rank == r
         assert state._q.shape[0] < n and state._m.shape[0] < n
         assert state.signal_basis.dim == r
+        want = reference_spectrum_run(cfg, ys)
+        assert [row[3] for row in state.trajectory] == [k for k, _, _ in want]
+        np.testing.assert_allclose(
+            [row[2] for row in state.trajectory], [inv_t for _, inv_t, _ in want],
+            rtol=self.INV_T_RTOL, atol=0,
+        )
+
+    @pytest.mark.parametrize("stream", ["noise", "tiny_then_repeat"])
+    def test_eigenvectors_only_when_cut_drops_below_rank(self, stream, eig_calls):
+        # After a step with k = r only the eigenvalues are computed; the
+        # eigenvectors follow in the same step when the cut then falls below
+        # r, and every step after a k < r step computes them directly.
+        n = 16
+        rng = np.random.default_rng(538)
+        target = orthonormalize(rng.standard_normal((n, 2)), tol=1e-12)
+        ys = [rng.standard_normal(n) for _ in range(3 * n)]
+        hint = 0.0
+        if stream == "tiny_then_repeat":
+            # A tiny first sample sits below the cut (k = 0 < r = 1); its
+            # scaled repeat adds no direction and lifts it back (k = r = 1).
+            # Near i = n the smallest eigenvalues fall below 2 * 0.05 again.
+            ys[0], ys[1], hint = 1e-3 * ys[2], 10.0 * ys[2], 0.05
+        cfg = replace(passive_config(target, len(ys)), noise_variance_hint=hint)
+        state = detector_init(cfg)
+        full_before, steps = True, []
+        for y in ys:
+            eig_calls.clear()
+            ingest(state, y)
+            full = state.estimated_rank == state._rank
+            steps.append((full_before, full))
+            if not full_before:
+                assert eig_calls == ["eigh"]
+            elif full:
+                assert eig_calls == ["eigvalsh"]
+            else:  # the one extra eigvalsh of a k = r -> k < r transition
+                assert eig_calls == ["eigvalsh", "eigh"]
+            full_before = full
+        drops, rises = steps.count((True, False)), steps.count((False, True))
+        if stream == "noise":
+            # k = r = i below n; the cap k <= n - 1 cuts below r = n from i = n.
+            assert (drops, rises) == (1, 0)
+            assert [full for _, full in steps].index(False) == n - 1
+        else:
+            assert drops >= 2 and rises >= 1
         want = reference_spectrum_run(cfg, ys)
         assert [row[3] for row in state.trajectory] == [k for k, _, _ in want]
         np.testing.assert_allclose(

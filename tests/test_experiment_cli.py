@@ -9,6 +9,7 @@ import pytest
 
 from vcdetect.experiment import (
     PRESETS,
+    TrajectoryRecord,
     derive_trial_seed,
     load_experiment_config,
     run_experiment,
@@ -86,6 +87,41 @@ class TestRunExperiment:
         for hyp in ("target_present", "target_absent"):
             med = statistics.median(v[1] for k, v in finals.items() if k[0] == hyp)
             assert summary[hyp]["median_final_inv_t"] == pytest.approx(med)
+
+    @staticmethod
+    def loop_summary_quantiles(rows, depth):
+        """Per-m quantiles of 1/T as first written: one scan and one quantile per (q, m)."""
+        return {
+            str(q): [
+                float(np.quantile([r.inv_T for r in rows if r.i == m], q))
+                for m in range(1, depth + 1)
+            ]
+            for q in (0.1, 0.5, 0.9)
+        }
+
+    def test_summary_quantiles_match_loop(self):
+        rng = np.random.default_rng(41)
+        synthetic = []
+        for hyp in ("target_present", "target_absent"):
+            for trial, length in zip(range(10, 15), [7, 3, 12, 5, 9]):
+                inv_t = np.round(np.exp(rng.standard_normal(length)), 2)  # ties too
+                synthetic += [
+                    TrajectoryRecord(trial, hyp, i, 1.0 / v, float(v), i,
+                                     "target_absent" if i == length == 12 else "")
+                    for i, v in enumerate(inv_t, start=1)
+                ]
+        rng.shuffle(synthetic)
+        simulated = run_experiment(load_experiment_config(SMALL_DOC, master_seed=3))
+        for records in (synthetic, simulated, simulated + synthetic):
+            summary = summarize(records)
+            want = json.loads(json.dumps(summary))
+            for hyp in ("target_present", "target_absent"):
+                rows = [r for r in records if r.hypothesis == hyp]
+                lengths = {}
+                for r in rows:
+                    lengths[r.trial_id] = max(lengths.get(r.trial_id, 0), r.i)
+                want[hyp]["inv_t_quantiles"] = self.loop_summary_quantiles(rows, min(lengths.values()))
+            assert json.dumps(summary, indent=2) == json.dumps(want, indent=2)
 
     def test_presets_load(self):
         for name in ("fig1_full", "fig1_desk"):
@@ -185,6 +221,18 @@ class TestDetectCli:
         r = run_cli("detect", "--samples", str(samples), "--target-basis", str(basis))
         assert r.returncode == 2
         assert "column" in r.stderr
+
+    def test_small_orthonormality_defect_names_column(self, tmp_path):
+        # A 2e-9 defect is above the 1e-10 budget of SubspaceBasis, so it
+        # must be rejected, and the message names the column.
+        samples, basis, sc, _ = self.make_files(tmp_path)
+        B = sc.target_basis.basis.copy()
+        B[:, 1] *= 1.0 + 1e-9
+        basis.write_text("".join(",".join(map(repr, row)) + "\n" for row in B.tolist()))
+        r = run_cli("detect", "--samples", str(samples), "--target-basis", str(basis))
+        assert r.returncode == 2
+        assert "target basis" in r.stderr and "(column 1)" in r.stderr
+        assert r.stdout == ""
 
     def test_nan_noise_variance_exits_2(self, tmp_path):
         # A NaN hint would make every rank threshold NaN, k_i stay 0 and 1/T

@@ -237,6 +237,18 @@ class TestVolumeCorrelation:
         B = orthonormalize(np.column_stack([shared, rng.standard_normal((12, 2))]), tol=1e-12)
         assert stacked_log_volume(A, B) == -math.inf
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_meeting_spans_give_zero_sine(self, seed):
+        # Same geometry: the residual sines keep the shared direction's sine at
+        # rounding level in volume_correlation and principal_angles too.
+        rng = np.random.default_rng(seed)
+        A = random_basis(rng, 12, 3)
+        shared = A.basis @ rng.standard_normal(3)
+        B = orthonormalize(np.column_stack([shared, rng.standard_normal((12, 2))]), tol=1e-12)
+        assert volume_correlation(A, B) < 1e-12
+        assert volume_correlation(B, A) < 1e-12
+        assert principal_angles(A, B)[0] < 1e-12
+
 
 class TestIncrementalVolumeFactor:
     def test_orthogonal_unit_vector(self):
