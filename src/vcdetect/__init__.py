@@ -27,7 +27,6 @@ from .detector import (
     write_trajectory_csv,
 )
 from .geometry import (
-    EigenPairs,
     SubspaceBasis,
     elementary_symmetric,
     incremental_volume_factor,
@@ -36,7 +35,6 @@ from .geometry import (
     principal_angles,
     projector_complement_apply,
     stacked_log_volume,
-    symmetric_eig,
     volume,
     volume_correlation,
 )

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import DetectorConfig, Outcome, detector_init, ingest
+from .detector import DetectorConfig
+from .experiment import run_trial, summarize
 from .geometry import SubspaceBasis, elementary_symmetric, volume_correlation
-from .scenario import Scenario, draw_sample, make_scenario, with_hypothesis
+from .scenario import Scenario, make_scenario, with_hypothesis
 
 __all__ = [
     "BoundInputs",
@@ -171,45 +171,24 @@ def validate_convergence(
 ) -> dict:
     """Run seeded detector trials under both hypotheses and summarize 1/T.
 
-    Returns per-sample-index quantiles of 1/T for each hypothesis, final
-    decision counts, and the gap between the absent-hypothesis plateau and
-    1/tau. Deterministic for a fixed master seed.
+    Each trial is ``experiment.run_trial``, seeded as ``run_experiment``
+    seeds it. Returns ``summarize``'s block for each hypothesis (decision
+    counts, median final 1/T, per-sample-index quantiles), with the gap
+    between the absent-hypothesis median and 1/tau added to the absent one.
+    Deterministic for a fixed master seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    m_max = max_samples if max_samples is not None else cfg.max_samples
+    if max_samples is not None:
+        cfg = replace(cfg, max_samples=max_samples)
     plateau = 1.0 / tau(sc.target_basis, sc.clutter_basis)
-    out: dict = {"inv_tau": plateau, "hypotheses": {}}
+    records = []
     for present in (True, False):
         scenario = make_scenario(with_hypothesis(sc.config, present))
-        inv_t_rows = []
-        decisions: dict[str, int] = {o.value: 0 for o in Outcome}
-        finals = []
         for trial in range(trials):
-            rng = np.random.default_rng([master_seed, trial, int(present)])
-            state = detector_init(cfg)
-            for i in range(1, m_max + 1):
-                ingest(state, draw_sample(scenario, i, rng))
-                if state.decision.variant is not Outcome.UNDECIDED:
-                    break
-            inv_t_rows.append([row[2] for row in state.trajectory])
-            decisions[state.decision.variant.value] += 1
-            finals.append(state.trajectory[-1][2])
-        depth = min(len(r) for r in inv_t_rows)
-        quantiles = {
-            q: [
-                float(np.quantile([r[i] for r in inv_t_rows], q))
-                for i in range(depth)
-            ]
-            for q in (0.1, 0.5, 0.9)
-        }
-        out["hypotheses"]["target_present" if present else "target_absent"] = {
-            "decisions": decisions,
-            "median_final_inv_t": statistics.median(finals),
-            "inv_t_quantiles": quantiles,
-        }
-    absent = out["hypotheses"]["target_absent"]
+            records += run_trial((scenario, cfg, master_seed, trial))
+    summary = summarize(records)
+    ratio = summary.pop("median_final_ratio")
+    absent = summary["target_absent"]
     absent["plateau_gap"] = abs(absent["median_final_inv_t"] - plateau)
-    present_med = out["hypotheses"]["target_present"]["median_final_inv_t"]
-    out["median_ratio"] = present_med / absent["median_final_inv_t"]
-    return out
+    return {"inv_tau": plateau, "hypotheses": summary, "median_ratio": ratio}

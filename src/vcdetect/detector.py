@@ -55,6 +55,7 @@ __all__ = [
     "decide",
     "run_stream",
     "noiseless_breakpoint",
+    "decision_label",
     "write_trajectory_csv",
 ]
 
@@ -249,8 +250,8 @@ def ingest(state: DetectorState, y: Sample | np.ndarray) -> DetectorState:
         raise ValueError(f"sample {i} has a non-finite entry")
 
     kept_all = state.estimated_rank == state._rank
-    state.sample_count = i
     _append_sample(state, vec)
+    state.sample_count = i
     r = state._rank
     m = state._m[:r, :r]
     w, V = (np.linalg.eigvalsh(m), None) if kept_all else np.linalg.eigh(m)
@@ -356,6 +357,11 @@ def noiseless_breakpoint(
     return None, None
 
 
+def decision_label(decision: Decision, i: int) -> str:
+    """The decision's value on the row of sample i that made it, else ""."""
+    return decision.variant.value if i == decision.decided_at else ""
+
+
 def write_trajectory_csv(trajectory, decision: Decision, path) -> None:
     """Write one row per ingested sample: ``i,T,inv_T,k_i,decision``.
 
@@ -366,7 +372,4 @@ def write_trajectory_csv(trajectory, decision: Decision, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["i", "T", "inv_T", "k_i", "decision"])
         for i, t, inv_t, k in trajectory:
-            label = ""
-            if decision.decided_at is not None and i == decision.decided_at:
-                label = decision.variant.value
-            writer.writerow([i, repr(t), repr(inv_t), k, label])
+            writer.writerow([i, repr(t), repr(inv_t), k, decision_label(decision, i)])

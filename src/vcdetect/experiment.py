@@ -7,15 +7,15 @@ of execution order; parallel and serial runs produce identical records.
 
 from __future__ import annotations
 
-import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
-from .detector import DetectorConfig, Outcome, detector_init, ingest
-from .scenario import ScenarioConfig, draw_sample, make_scenario, with_hypothesis
+from .detector import DetectorConfig, Outcome, decision_label, run_stream
+from .scenario import ScenarioConfig, config_from_json, draw_sample, make_scenario, with_hypothesis
 
 __all__ = [
     "ExperimentConfig",
@@ -23,6 +23,7 @@ __all__ = [
     "PRESETS",
     "load_experiment_config",
     "run_experiment",
+    "run_trial",
     "write_records_csv",
     "summarize",
     "derive_trial_seed",
@@ -91,18 +92,13 @@ PRESETS: dict[str, dict] = {
 
 
 def load_experiment_config(doc: dict, master_seed: int | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed JSON document."""
-    sc = doc["scenario"]
-    scenario = ScenarioConfig(
-        ambient_dim=int(sc["n"]),
-        clutter_dim=int(sc["d1"]),
-        target_dim=int(sc["d2"]),
-        snr_db=float("inf") if sc["snr_db"] == "inf" else float(sc["snr_db"]),
-        target_present=True,  # both hypotheses are run; this is a placeholder
-        seed=int(sc.get("seed", 0)),
-    )
+    """Build an ExperimentConfig from a parsed JSON document.
+
+    The scenario block is read by ``config_from_json``; its hypothesis does
+    not matter, since ``run_experiment`` runs both.
+    """
     return ExperimentConfig(
-        scenario=scenario,
+        scenario=config_from_json(doc["scenario"]),
         trials=int(doc["trials"]),
         max_samples=int(doc["max_samples"]),
         detector=dict(doc.get("detector", {})),
@@ -137,23 +133,22 @@ def _detector_config(cfg: ExperimentConfig, target_basis, noise_variance) -> Det
     )
 
 
-def _run_trial(args) -> list[TrajectoryRecord]:
+def run_trial(args) -> list[TrajectoryRecord]:
+    """One seeded trial: ``run_stream`` over the scenario's samples, as records.
+
+    ``args`` is ``(scenario, detector config, master seed, trial id)``; the
+    stream is seeded by ``derive_trial_seed`` and drawn lazily, so it stops
+    where the detector does.
+    """
     scenario, det_cfg, master_seed, trial_id = args
     present = scenario.config.target_present
     rng = np.random.default_rng(derive_trial_seed(master_seed, trial_id, present))
-    state = detector_init(det_cfg)
-    for i in range(1, det_cfg.max_samples + 1):
-        ingest(state, draw_sample(scenario, i, rng))
-        if state.decision.variant is not Outcome.UNDECIDED:
-            break
+    decision, trajectory = run_stream(det_cfg, (draw_sample(scenario, i, rng) for i in count(1)))
     hyp = "target_present" if present else "target_absent"
-    records = []
-    for i, t, inv_t, k in state.trajectory:
-        label = ""
-        if state.decision.decided_at is not None and i == state.decision.decided_at:
-            label = state.decision.variant.value
-        records.append(TrajectoryRecord(trial_id, hyp, i, t, inv_t, k, label))
-    return records
+    return [
+        TrajectoryRecord(trial_id, hyp, i, t, inv_t, k, decision_label(decision, i))
+        for i, t, inv_t, k in trajectory
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TrajectoryRecord]:
@@ -169,9 +164,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrajectoryRecord]:
         tasks += [(scenario, det_cfg, cfg.master_seed, trial) for trial in range(cfg.trials)]
     if cfg.parallelism > 1:
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            per_trial = list(pool.map(_run_trial, tasks))
+            per_trial = list(pool.map(run_trial, tasks))
     else:
-        per_trial = [_run_trial(t) for t in tasks]
+        per_trial = [run_trial(t) for t in tasks]
     return [rec for rows in per_trial for rec in rows]
 
 

@@ -18,7 +18,6 @@ SINGULAR_VALUE_FLOOR = 1e-12
 __all__ = [
     "SINGULAR_VALUE_FLOOR",
     "SubspaceBasis",
-    "EigenPairs",
     "orthonormalize",
     "volume",
     "log_volume",
@@ -29,7 +28,6 @@ __all__ = [
     "gram_schmidt_step",
     "incremental_volume_factor",
     "projector_complement_apply",
-    "symmetric_eig",
     "elementary_symmetric",
 ]
 
@@ -71,22 +69,6 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
-class EigenPairs:
-    """Spectral decomposition with eigenvalues sorted descending."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "vectors", _as_matrix(self.vectors))
-        if np.any(np.diff(self.values) > 1e-12):
-            raise ValueError("eigenvalues must be sorted descending")
-        if self.vectors.shape[1] != self.values.shape[0]:
-            raise ValueError("one eigenvector per eigenvalue required")
-
-
 def orthonormalize(X, tol: float = 1e-8) -> SubspaceBasis:
     """Orthonormal basis of the column space of ``X``.
 
@@ -118,10 +100,15 @@ def orthonormalize(X, tol: float = 1e-8) -> SubspaceBasis:
     return SubspaceBasis(np.column_stack(cols))
 
 
-def _rank_from_singular_values(s: np.ndarray) -> int:
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > SINGULAR_VALUE_FLOOR * s[0]))
+def _top_singular_values(X, d: int) -> np.ndarray | None:
+    """The ``d`` largest singular values of ``X``, or None when rank(X) < d."""
+    X = _as_matrix(X)
+    if d < 1 or d > X.shape[1]:
+        raise ValueError(f"d={d} out of range for {X.shape[1]} columns")
+    s = np.linalg.svd(X, compute_uv=False)
+    if s.size == 0 or s[0] <= 0.0 or np.sum(s > SINGULAR_VALUE_FLOOR * s[0]) < d:
+        return None
+    return s[:d]
 
 
 def volume(X, d: int) -> float:
@@ -130,24 +117,14 @@ def volume(X, d: int) -> float:
     Equals sqrt(det(X^T X)) for a full-column-rank X with d columns, and 0
     whenever rank(X) < d.
     """
-    X = _as_matrix(X)
-    if d < 1 or d > X.shape[1]:
-        raise ValueError(f"d={d} out of range for {X.shape[1]} columns")
-    s = np.linalg.svd(X, compute_uv=False)
-    if _rank_from_singular_values(s) < d:
-        return 0.0
-    return float(np.prod(s[:d]))
+    s = _top_singular_values(X, d)
+    return 0.0 if s is None else float(np.prod(s))
 
 
 def log_volume(X, d: int) -> float:
     """Sum of logs of the ``d`` largest singular values; -inf if rank(X) < d."""
-    X = _as_matrix(X)
-    if d < 1 or d > X.shape[1]:
-        raise ValueError(f"d={d} out of range for {X.shape[1]} columns")
-    s = np.linalg.svd(X, compute_uv=False)
-    if _rank_from_singular_values(s) < d:
-        return float("-inf")
-    return float(np.sum(np.log(s[:d])))
+    s = _top_singular_values(X, d)
+    return float("-inf") if s is None else float(np.sum(np.log(s)))
 
 
 def principal_angles(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:
@@ -259,18 +236,6 @@ def incremental_volume_factor(X, Yprev, y) -> float:
     stacked = np.hstack([X, Yprev])
     base = orthonormalize(stacked, tol=1e-12)
     return float(np.linalg.norm(projector_complement_apply(base, y)))
-
-
-def symmetric_eig(S) -> EigenPairs:
-    """Full spectral decomposition of a symmetric matrix, values descending."""
-    S = _as_matrix(S)
-    if S.shape[0] != S.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = np.linalg.norm(S)
-    if scale > 0 and np.linalg.norm(S - S.T) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    w, V = np.linalg.eigh((S + S.T) / 2.0)
-    return EigenPairs(values=w[::-1].copy(), vectors=V[:, ::-1].copy())
 
 
 def elementary_symmetric(values, k: int) -> float:

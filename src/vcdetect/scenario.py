@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import SubspaceBasis, orthonormalize, principal_angles, symmetric_eig
+from .geometry import SubspaceBasis, orthonormalize, principal_angles
 
 __all__ = [
     "ScenarioConfig",
@@ -136,7 +136,7 @@ def population_eigenvalues(sc: Scenario) -> np.ndarray:
         Qs = sc.target_basis.basis
         R = R + Qs @ Qs.T
     R = R + sc.noise_std**2 * np.eye(cfg.ambient_dim)
-    return symmetric_eig(R).values
+    return np.linalg.eigvalsh(R)[::-1]
 
 
 def config_to_json(cfg: ScenarioConfig) -> str:

@@ -12,6 +12,7 @@ from vcdetect.bounds import (
     validate_convergence,
 )
 from vcdetect.detector import DetectorConfig
+from vcdetect.experiment import load_experiment_config, run_experiment, summarize
 from vcdetect.geometry import SubspaceBasis, orthonormalize, volume
 from vcdetect.scenario import ScenarioConfig, make_scenario
 
@@ -193,6 +194,29 @@ class TestValidateConvergence:
         )
         summary = validate_convergence(sc, cfg, trials=5, max_samples=200)
         assert summary["median_ratio"] > 1.0
+
+    @pytest.mark.parametrize("master_seed", [0, 4])
+    def test_same_trials_as_experiment(self, master_seed):
+        # validate_convergence runs the experiment's trial function with its
+        # seeding. Without a noise hint the two hypotheses share one detector
+        # config, so both summarize the same trials.
+        thresholds = {"divergence_threshold": 3.0, "stall_epsilon": 0.01, "stall_patience": 6}
+        doc = {
+            "scenario": {"n": 32, "d1": 4, "d2": 2, "snr_db": 0.0, "seed": 12},
+            "trials": 4,
+            "max_samples": 40,
+            "detector": {"use_noise_hint": False, **thresholds},
+        }
+        cfg = load_experiment_config(doc, master_seed=master_seed)
+        sc = make_scenario(cfg.scenario)
+        # The budget comes from the max_samples argument, not from the config.
+        det = DetectorConfig(sc.target_basis, noise_variance_hint=None, max_samples=5, **thresholds)
+        got = validate_convergence(sc, det, cfg.trials, max_samples=40, master_seed=master_seed)
+        want = summarize(run_experiment(cfg))
+        for hyp in ("target_present", "target_absent"):
+            for key in ("trials", "decisions", "median_final_inv_t", "inv_t_quantiles"):
+                assert got["hypotheses"][hyp][key] == want[hyp][key], (hyp, key)
+        assert got["median_ratio"] == want["median_final_ratio"]
 
     def test_trials_validation(self):
         sc = make_scenario(ScenarioConfig(24, 4, 2, 5.0, True, 11))

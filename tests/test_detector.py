@@ -470,6 +470,9 @@ class TestSpectralState:
             state._q[2] += 1e-3 * state._q[4]
         with pytest.raises(ValueError, match="orthonormal"):
             ingest(state, rng.standard_normal(n))
+        # The check raises before any buffer is written, so the rejected
+        # sample leaves the count and the trajectory as they were.
+        assert state.sample_count == len(state.trajectory) == 5
 
     def test_covariance_property_matches_batch_mean(self):
         n = 32

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from vcdetect.geometry import (
-    EigenPairs,
     SubspaceBasis,
     elementary_symmetric,
     incremental_volume_factor,
@@ -14,7 +13,6 @@ from vcdetect.geometry import (
     principal_angles,
     projector_complement_apply,
     stacked_log_volume,
-    symmetric_eig,
     volume,
     volume_correlation,
 )
@@ -313,36 +311,6 @@ class TestProjectorComplement:
         np.testing.assert_allclose(r1, r2, atol=1e-12)
 
 
-class TestSymmetricEig:
-    def test_diagonal(self):
-        pairs = symmetric_eig(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(pairs.values, [3.0, 2.0, 1.0])
-        np.testing.assert_allclose(np.abs(pairs.vectors), np.eye(3)[:, [0, 2, 1]], atol=1e-14)
-
-    def test_identity(self):
-        np.testing.assert_allclose(symmetric_eig(np.eye(4)).values, np.ones(4))
-
-    def test_construct_then_decompose(self):
-        rng = np.random.default_rng(24)
-        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        S = Q @ np.diag([5.0, 2.0, 1.0]) @ Q.T
-        pairs = symmetric_eig(S)
-        np.testing.assert_allclose(pairs.values, [5.0, 2.0, 1.0], atol=1e-9)
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(25)
-        A = rng.standard_normal((8, 8))
-        S = (A + A.T) / 2
-        pairs = symmetric_eig(S)
-        recon = pairs.vectors @ np.diag(pairs.values) @ pairs.vectors.T
-        assert np.linalg.norm(recon - S) / np.linalg.norm(S) < 1e-8
-        np.testing.assert_allclose(pairs.vectors.T @ pairs.vectors, np.eye(8), atol=1e-8)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            symmetric_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 class TestElementarySymmetric:
     def test_small_case(self):
         assert elementary_symmetric([1.0, 2.0, 3.0], 2) == pytest.approx(11.0)
@@ -380,7 +348,3 @@ class TestTypes:
     def test_subspace_basis_rejects_too_many_columns(self):
         with pytest.raises(ValueError):
             SubspaceBasis(np.ones((2, 3)))
-
-    def test_eigenpairs_requires_descending_values(self):
-        with pytest.raises(ValueError):
-            EigenPairs(values=np.array([1.0, 2.0]), vectors=np.eye(2))
