@@ -39,7 +39,6 @@ from .geometry import (
     volume_correlation,
 )
 from .scenario import (
-    Sample,
     Scenario,
     ScenarioConfig,
     config_from_json,

@@ -27,10 +27,6 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 
 
-class InputError(Exception):
-    pass
-
-
 def _load_config_doc(spec: str) -> dict:
     if spec in PRESETS:
         return PRESETS[spec]
@@ -38,9 +34,9 @@ def _load_config_doc(spec: str) -> dict:
         with open(spec) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read config {spec!r}: {exc}") from exc
+        raise ValueError(f"cannot read config {spec!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"config {spec!r} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {spec!r} is not valid JSON: {exc}") from exc
 
 
 def _cmd_simulate(args) -> int:
@@ -48,7 +44,7 @@ def _cmd_simulate(args) -> int:
     try:
         cfg = load_experiment_config(doc, master_seed=args.seed)
     except (KeyError, ValueError) as exc:
-        raise InputError(f"invalid experiment config: {exc}") from exc
+        raise ValueError(f"invalid experiment config: {exc}") from exc
     records = run_experiment(cfg)
     summary = summarize(records)
     try:
@@ -80,20 +76,20 @@ def _load_matrix_csv(path: str, what: str) -> np.ndarray:
                 try:
                     row = [float(v) for v in line.split(",")]
                 except ValueError as exc:
-                    raise InputError(f"{what} row {lineno}: {exc}") from exc
+                    raise ValueError(f"{what} row {lineno}: {exc}") from exc
                 if not all(np.isfinite(row)):
-                    raise InputError(f"{what} row {lineno} has a non-finite entry")
+                    raise ValueError(f"{what} row {lineno} has a non-finite entry")
                 if width is None:
                     width = len(row)
                 elif len(row) != width:
-                    raise InputError(
+                    raise ValueError(
                         f"{what} row {lineno} has {len(row)} entries, expected {width}"
                     )
                 rows.append(row)
     except OSError as exc:
-        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read {what} {path!r}: {exc}") from exc
     if not rows:
-        raise InputError(f"{what} {path!r} is empty")
+        raise ValueError(f"{what} {path!r} is empty")
     return np.asarray(rows)
 
 
@@ -101,14 +97,14 @@ def _cmd_detect(args) -> int:
     samples = _load_matrix_csv(args.samples, "samples file")
     basis_mat = _load_matrix_csv(args.target_basis, "target basis file")
     if basis_mat.shape[0] != samples.shape[1]:
-        raise InputError(
+        raise ValueError(
             f"target basis has {basis_mat.shape[0]} rows but samples have "
             f"length {samples.shape[1]}"
         )
     try:
         target = SubspaceBasis(basis_mat)
     except ValueError as exc:
-        raise InputError(f"target basis: {exc}") from exc
+        raise ValueError(f"target basis: {exc}") from exc
     cfg = DetectorConfig(
         target_basis=target,
         noise_variance_hint=args.sigma2,
@@ -116,7 +112,7 @@ def _cmd_detect(args) -> int:
         divergence_threshold=args.t_div,
         stall_epsilon=args.stall_epsilon,
         stall_patience=args.stall_patience,
-        max_samples=args.max_samples if args.max_samples else samples.shape[0],
+        max_samples=args.max_samples if args.max_samples is not None else samples.shape[0],
     )
     decision, trajectory = run_stream(cfg, iter(samples))
     report = {
@@ -140,24 +136,21 @@ def _cmd_bound(args) -> int:
     try:
         eigs = tuple(float(v) for v in args.eigs.split(","))
     except ValueError as exc:
-        raise InputError(f"bad --eigs value: {exc}") from exc
+        raise ValueError(f"bad --eigs value: {exc}") from exc
     k = args.k if args.k is not None else sum(1 for v in eigs if v > args.sigma2)
-    try:
-        inputs = BoundInputs(
-            eigenvalues=eigs,
-            noise_variance=args.sigma2,
-            ambient_dim=args.n,
-            signal_rank=k,
-            delta=args.delta,
-            epsilon=args.eps,
-            target_dim=args.d2,
-        )
-        if args.hypothesis == "present":
-            report = sample_bound_target_present(inputs)
-        else:
-            report = sample_bound_target_absent(inputs)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    inputs = BoundInputs(
+        eigenvalues=eigs,
+        noise_variance=args.sigma2,
+        ambient_dim=args.n,
+        signal_rank=k,
+        delta=args.delta,
+        epsilon=args.eps,
+        target_dim=args.d2,
+    )
+    if args.hypothesis == "present":
+        report = sample_bound_target_present(inputs)
+    else:
+        report = sample_bound_target_absent(inputs)
     print(report.to_json())
     return EXIT_OK
 
@@ -206,9 +199,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -41,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SubspaceBasis, gram_schmidt_step, residual_log_volume, volume
-from .scenario import Sample
+from .geometry import SubspaceBasis, gram_schmidt_step, residual_log_volume
 
 __all__ = [
     "Outcome",
@@ -87,15 +86,14 @@ class DetectorConfig:
     stall_epsilon: float = 1e-3
     stall_patience: int = 5
     max_samples: int = 512
-    zero_volume_tol: float = 1e-8
 
     def __post_init__(self):
         # Each test is written so that NaN fails it. divergence_threshold may
         # be inf (a threshold that never fires).
         if not self.divergence_threshold > 1.0:
             raise ValueError(f"divergence_threshold must exceed 1, got {self.divergence_threshold}")
-        if not (self.stall_epsilon > 0 and self.zero_volume_tol > 0):
-            raise ValueError("stall_epsilon and zero_volume_tol must be positive numbers")
+        if not self.stall_epsilon > 0:
+            raise ValueError(f"stall_epsilon must be positive, got {self.stall_epsilon}")
         if self.stall_patience < 1 or self.max_samples < 1:
             raise ValueError("stall_patience and max_samples must be >= 1")
         if not self.rank_gap_factor > 0:
@@ -228,7 +226,7 @@ def _append_sample(state: DetectorState, vec: np.ndarray) -> None:
     state._m[:r, :r] += np.outer(u, u)
 
 
-def ingest(state: DetectorState, y: Sample | np.ndarray) -> DetectorState:
+def ingest(state: DetectorState, y) -> DetectorState:
     """Fold one sample into the state: spectrum, rank, statistic, decision.
 
     The eigenvalues of M / i give the spectrum; the top-k eigenvectors V_k
@@ -240,7 +238,7 @@ def ingest(state: DetectorState, y: Sample | np.ndarray) -> DetectorState:
     """
     if state.decision.variant is not Outcome.UNDECIDED:
         raise RuntimeError("cannot ingest after a decision was reached")
-    vec = y.vector if isinstance(y, Sample) else np.asarray(y, dtype=float)
+    vec = np.asarray(y, dtype=float)
     cfg = state.config
     n, d2 = cfg.target_basis.ambient_dim, cfg.target_basis.dim
     i = state.sample_count + 1
@@ -319,41 +317,38 @@ def noiseless_breakpoint(
 ) -> tuple[int | None, bool | None]:
     """Breakpoint search for the noiseless regime.
 
-    Tracks Vol([Q_y, Q_s]) through the one-column-at-a-time residual
-    recursion, keeping orthonormal rows for [Q_s, sample directions] so that
-    each factor costs one Gram-Schmidt step. Returns ``(m, target_present)``
-    where m is the first sample count at which the stacked volume drops to
-    ``tol`` or below, and the hypothesis is decided by whether the samples
-    alone still have positive volume there. ``(None, None)`` if the stream
+    Keeps orthonormal rows for the sample directions and for [Q_s, sample
+    directions], so each sample costs two Gram-Schmidt steps. The breakpoint
+    m is the first sample that adds no direction to one of them, and it
+    decides the hypothesis:
+
+    * its residual off the sample directions is at most ``tol * ||y||``: the
+      samples alone lose rank, so the target is absent -> ``(m, False)``;
+    * its new unit direction has a residual off [Q_s, sample directions] of
+      at most ``tol``: the stacked volume Vol([Q_y, Q_s]) vanishes while the
+      samples keep full rank, so the target is present -> ``(m, True)``.
+
+    Both tests are relative to one step, so neither depends on the scale of
+    the samples or on how many came before. ``(None, None)`` if the stream
     ends first.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = target_basis.ambient_dim
-    sample_dirs = np.empty((0, n))
+    sample_dirs = np.empty((0, target_basis.ambient_dim))
     stacked_dirs = target_basis.basis.T
-    stacked_vol = 1.0
-    raw: list[np.ndarray] = []
     for m, y in enumerate(samples, start=1):
-        vec = y.vector if isinstance(y, Sample) else np.asarray(y, dtype=float)
-        raw.append(vec)
+        vec = np.asarray(y, dtype=float)
         _, r = gram_schmidt_step(sample_dirs, vec)
         r_norm = np.linalg.norm(r)
-        if r_norm <= tol * max(np.linalg.norm(vec), 1e-300):
-            # Sample adds no new direction: column count exceeds the span
-            # dimension, so the stacked volume at dimension m + d2 is zero.
-            stacked_vol = 0.0
-        else:
-            q = r / r_norm
-            _, s = gram_schmidt_step(stacked_dirs, q)
-            factor = np.linalg.norm(s)
-            stacked_vol *= factor
-            if stacked_vol > tol:
-                sample_dirs = np.vstack([sample_dirs, q])
-                stacked_dirs = np.vstack([stacked_dirs, s / factor])
-        if stacked_vol <= tol:
-            sample_vol = volume(np.column_stack(raw), m)
-            return m, bool(sample_vol > tol)
+        if r_norm <= tol * np.linalg.norm(vec):
+            return m, False
+        q = r / r_norm
+        _, s = gram_schmidt_step(stacked_dirs, q)
+        factor = np.linalg.norm(s)
+        if factor <= tol:
+            return m, True
+        sample_dirs = np.vstack([sample_dirs, q])
+        stacked_dirs = np.vstack([stacked_dirs, s / factor])
     return None, None
 
 

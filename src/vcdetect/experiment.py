@@ -31,6 +31,10 @@ __all__ = [
 
 RECORD_FIELDS = ("trial_id", "hypothesis", "i", "T", "inv_T", "k_i", "decision")
 
+# Keys of an experiment's "detector" block and their types; an int is also a float.
+_DETECTOR_OPTIONS = {"use_noise_hint": bool, "rank_gap_factor": float,
+                     "divergence_threshold": float, "stall_epsilon": float, "stall_patience": int}
+
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
@@ -55,6 +59,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1 or self.max_samples < 1 or self.parallelism < 1:
             raise ValueError("trials, max_samples and parallelism must be >= 1")
+        if not isinstance(self.detector, dict):
+            raise ValueError(f"detector must be an object, got {type(self.detector).__name__}")
+        for key, value in self.detector.items():
+            kind = _DETECTOR_OPTIONS.get(key)
+            if kind is None:
+                raise ValueError(f"unknown detector option {key!r}")
+            # bool is an int subclass: a flag must be a bool and a number must not.
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, (kind, int)):
+                raise ValueError(f"detector option {key!r} must be {kind.__name__}, got {value!r}")
 
 
 # Bundled presets. fig1_full is the full-scale geometry (n=1024, d1=40,
@@ -101,7 +114,7 @@ def load_experiment_config(doc: dict, master_seed: int | None = None) -> Experim
         scenario=config_from_json(doc["scenario"]),
         trials=int(doc["trials"]),
         max_samples=int(doc["max_samples"]),
-        detector=dict(doc.get("detector", {})),
+        detector=doc.get("detector", {}),
         parallelism=int(doc.get("parallelism", 1)),
         master_seed=int(master_seed if master_seed is not None else doc.get("seed", 0)),
     )
@@ -143,7 +156,7 @@ def run_trial(args) -> list[TrajectoryRecord]:
     scenario, det_cfg, master_seed, trial_id = args
     present = scenario.config.target_present
     rng = np.random.default_rng(derive_trial_seed(master_seed, trial_id, present))
-    decision, trajectory = run_stream(det_cfg, (draw_sample(scenario, i, rng) for i in count(1)))
+    decision, trajectory = run_stream(det_cfg, (draw_sample(scenario, rng) for _ in count()))
     hyp = "target_present" if present else "target_absent"
     return [
         TrajectoryRecord(trial_id, hyp, i, t, inv_t, k, decision_label(decision, i))

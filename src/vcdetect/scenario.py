@@ -33,7 +33,6 @@ from .geometry import SubspaceBasis, orthonormalize, principal_angles
 __all__ = [
     "ScenarioConfig",
     "Scenario",
-    "Sample",
     "random_subspace",
     "make_scenario",
     "draw_sample",
@@ -64,6 +63,9 @@ class ScenarioConfig:
             raise ValueError("d1 + d2 must not exceed the ambient dimension")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        # NaN fails this test too; +inf is the noiseless code.
+        if not self.snr_db > -math.inf:
+            raise ValueError(f"snr_db must be a number or inf, got {self.snr_db}")
 
     @property
     def noise_variance(self) -> float:
@@ -79,12 +81,6 @@ class Scenario:
     clutter_basis: SubspaceBasis
     noise_std: float
     config: ScenarioConfig
-
-
-@dataclass(frozen=True)
-class Sample:
-    vector: np.ndarray
-    index: int
 
 
 def random_subspace(n: int, d: int, rng: np.random.Generator) -> SubspaceBasis:
@@ -110,7 +106,7 @@ def make_scenario(cfg: ScenarioConfig) -> Scenario:
     )
 
 
-def draw_sample(sc: Scenario, i: int, rng: np.random.Generator) -> Sample:
+def draw_sample(sc: Scenario, rng: np.random.Generator) -> np.ndarray:
     """One sample under the scenario's hypothesis."""
     cfg = sc.config
     y = sc.clutter_basis.basis @ rng.standard_normal(cfg.clutter_dim)
@@ -118,13 +114,13 @@ def draw_sample(sc: Scenario, i: int, rng: np.random.Generator) -> Sample:
         y = y + sc.target_basis.basis @ rng.standard_normal(cfg.target_dim)
     if sc.noise_std > 0.0:
         y = y + sc.noise_std * rng.standard_normal(cfg.ambient_dim)
-    return Sample(vector=y, index=i)
+    return y
 
 
 def sample_stream(sc: Scenario, rng: np.random.Generator, count: int):
     """Yield ``count`` consecutive samples from the scenario."""
-    for i in range(1, count + 1):
-        yield draw_sample(sc, i, rng)
+    for _ in range(count):
+        yield draw_sample(sc, rng)
 
 
 def population_eigenvalues(sc: Scenario) -> np.ndarray:

@@ -78,7 +78,7 @@ class TestInitAndCovariance:
         state = detector_init(cfg)
         rng = np.random.default_rng(1)
         while state.decision.variant is Outcome.UNDECIDED:
-            ingest(state, draw_sample(sc, state.sample_count + 1, rng))
+            ingest(state, draw_sample(sc, rng))
         with pytest.raises(RuntimeError):
             ingest(state, np.zeros(16))
 
@@ -221,7 +221,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field",
         ["noise_variance_hint", "rank_gap_factor", "divergence_threshold",
-         "stall_epsilon", "zero_volume_tol"],
+         "stall_epsilon"],
     )
     def test_nan_rejected(self, field):
         with pytest.raises(ValueError, match=field):
@@ -295,7 +295,7 @@ class TestSpectralState:
             sc = make_scenario(ScenarioConfig(n, 4, 2, snr_db, present, 500 + seed))
             hint = sc.noise_std**2 if use_hint else None
             cfg = replace(passive_config(sc.target_basis, count), noise_variance_hint=hint)
-            ys = [s.vector for s in sample_stream(sc, np.random.default_rng(seed), count)]
+            ys = list(sample_stream(sc, np.random.default_rng(seed), count))
             state = detector_init(cfg)
             for y in ys:
                 ingest(state, y)
@@ -333,7 +333,7 @@ class TestSpectralState:
         for seed, (snr_db, present) in enumerate([(10.0, True), (10.0, False), (0.0, True)]):
             sc = make_scenario(ScenarioConfig(n, 4, 2, snr_db, present, 520 + seed))
             cfg = replace(passive_config(sc.target_basis, count), noise_variance_hint=sc.noise_std**2)
-            ys = [s.vector for s in sample_stream(sc, np.random.default_rng(seed), count)]
+            ys = list(sample_stream(sc, np.random.default_rng(seed), count))
             state = detector_init(cfg)
             for y, (k, _, want) in zip(ys, reference_spectrum_run(cfg, ys)):
                 ingest(state, y)
@@ -349,7 +349,7 @@ class TestSpectralState:
         hint = sc.noise_std**2 if use_hint else None
         cfg = replace(passive_config(sc.target_basis, count), noise_variance_hint=hint)
         rng = np.random.default_rng(531)
-        ys = [s.vector for s in sample_stream(sc, rng, count)]
+        ys = list(sample_stream(sc, rng, count))
         ys[0] = np.zeros(n)
         ys[4] = ys[2].copy()
         ys[9] = -2.5 * ys[3]
@@ -370,7 +370,7 @@ class TestSpectralState:
     def test_noiseless_repeats_match_reference(self):
         n, d1 = 20, 3
         sc = noiseless_scenario(n, d1, 2, False, 532)
-        ys = [s.vector for s in sample_stream(sc, np.random.default_rng(533), d1)]
+        ys = list(sample_stream(sc, np.random.default_rng(533), d1))
         ys += [2.0 * ys[0], ys[1].copy(), ys[0] - ys[2], np.zeros(n)]
         cfg = passive_config(sc.target_basis, len(ys))
         state = detector_init(cfg)
@@ -392,7 +392,7 @@ class TestSpectralState:
         # every direction throughout, so no eigenvector is ever computed.
         n, d1, d2 = 40, 4, 2
         sc = noiseless_scenario(n, d1, d2, present, 536)
-        ys = [s.vector for s in sample_stream(sc, np.random.default_rng(537), 3 * n)]
+        ys = list(sample_stream(sc, np.random.default_rng(537), 3 * n))
         cfg = passive_config(sc.target_basis, len(ys))
         state = detector_init(cfg)
         for y in ys:
@@ -511,8 +511,8 @@ class TestNoiselessStreaming:
         for s in sample_stream(sc, np.random.default_rng(42), 5):
             ingest(state, s)
         assert state.trajectory[-1][0] == 5  # d1 + 1
-        assert state.trajectory[-1][1] <= cfg.zero_volume_tol
-        assert state.trajectory[3][1] > cfg.zero_volume_tol
+        assert state.trajectory[-1][1] <= 1e-8
+        assert state.trajectory[3][1] > 1e-8
 
     def test_run_stream_present_decides_by_breakpoint(self):
         for seed in range(5):
@@ -571,6 +571,22 @@ class TestNoiselessBreakpoint:
         v = sc.clutter_basis.basis[:, 0]
         m, present = noiseless_breakpoint(sc.target_basis, [v, 2.0 * v, 3.0 * v])
         assert (m, present) == (2, False)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_small_scale_does_not_matter(self, seed):
+        # The tests are relative to each step, so samples of norm ~1e-3,
+        # whose raw volume at the breakpoint is far below tol, still decide.
+        sc = noiseless_scenario(32, 6, 2, True, seed)
+        ys = [1e-3 * y for y in sample_stream(sc, np.random.default_rng(seed + 1), 8)]
+        assert noiseless_breakpoint(sc.target_basis, ys) == (7, True)
+
+    @pytest.mark.parametrize("seed", [0, 3, 6])
+    def test_many_directions_do_not_matter(self, seed):
+        # 120 stacked factors below 1 multiply to less than tol just before
+        # d1 + 1; each step is tested on its own.
+        sc = noiseless_scenario(1024, 120, 10, True, seed)
+        samples = sample_stream(sc, np.random.default_rng(seed + 1), 122)
+        assert noiseless_breakpoint(sc.target_basis, samples) == (121, True)
 
     def test_budget_exhaustion(self):
         sc = noiseless_scenario(16, 3, 1, False, 85)

@@ -151,6 +151,38 @@ class TestSimulateCli:
         assert r.returncode == 2
         assert "error" in r.stderr
 
+    @pytest.mark.parametrize(
+        "block, key",
+        [
+            ({"stall_epsilom": 0.005}, "stall_epsilom"),
+            ({"max_samples": 10}, "max_samples"),
+            ({"zero_volume_tol": 1e-8}, "zero_volume_tol"),
+            ({"divergence_threshold": "abc"}, "divergence_threshold"),
+            ({"stall_patience": 7.5}, "stall_patience"),
+            ({"use_noise_hint": 1}, "use_noise_hint"),
+            ([["stall_patience", 8]], "detector"),
+        ],
+    )
+    def test_bad_detector_block_exits_2(self, tmp_path, block, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**SMALL_DOC, "detector": block}))
+        r = run_cli("simulate", "--config", str(config))
+        assert r.returncode == 2
+        assert key in r.stderr and "Traceback" not in r.stderr
+        assert r.stdout == ""
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
+    def test_snr_not_a_level_exits_2(self, tmp_path, snr_db):
+        # Without the check both ran as a noiseless experiment and exited 0.
+        doc = {**SMALL_DOC, "detector": {**SMALL_DOC["detector"], "use_noise_hint": False}}
+        doc["scenario"] = {**SMALL_DOC["scenario"], "snr_db": snr_db}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        r = run_cli("simulate", "--config", str(config))
+        assert r.returncode == 2
+        assert "snr_db" in r.stderr
+        assert r.stdout == ""
+
     def test_missing_config_file_exits_2(self):
         r = run_cli("simulate", "--config", "/nonexistent/cfg.json")
         assert r.returncode == 2
@@ -167,7 +199,7 @@ class TestDetectCli:
         snr = float("inf") if noiseless else 5.0
         sc = make_scenario(ScenarioConfig(n, d1, d2, snr, present, 17))
         rng = np.random.default_rng(18)
-        rows = [s.vector for s in sample_stream(sc, rng, count)]
+        rows = list(sample_stream(sc, rng, count))
         samples = tmp_path / "samples.csv"
         with open(samples, "w") as fh:
             for row in rows:
@@ -253,6 +285,16 @@ class TestDetectCli:
         r = run_cli("detect", "--samples", str(samples), "--target-basis", str(basis))
         assert r.returncode == 2
         assert "row 3" in r.stderr and "non-finite" in r.stderr
+        assert r.stdout == ""
+
+    def test_zero_max_samples_exits_2(self, tmp_path):
+        # 0 used to read as "unset" and ran every sample.
+        samples, basis, _, _ = self.make_files(tmp_path, count=4)
+        r = run_cli(
+            "detect", "--samples", str(samples), "--target-basis", str(basis), "--max-samples", "0"
+        )
+        assert r.returncode == 2
+        assert "max_samples" in r.stderr
         assert r.stdout == ""
 
     def test_ragged_rows_rejected(self, tmp_path):

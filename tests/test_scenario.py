@@ -6,7 +6,6 @@ import pytest
 
 from vcdetect.geometry import SubspaceBasis, principal_angles, projector_complement_apply
 from vcdetect.scenario import (
-    Sample,
     Scenario,
     ScenarioConfig,
     config_from_json,
@@ -85,13 +84,21 @@ class TestMakeScenario:
         with pytest.raises(ValueError):
             ScenarioConfig(8, 0, 2, 0.0, True, 0)
 
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_snr_not_a_level_rejected(self, snr_db):
+        # NaN would skip the noise and -inf would read as noiseless.
+        with pytest.raises(ValueError, match="snr_db"):
+            ScenarioConfig(8, 2, 1, snr_db, True, 0)
+        with pytest.raises(ValueError, match="snr_db"):
+            config_from_json({"n": 8, "d1": 2, "d2": 1, "snr_db": str(snr_db)})
+
 
 class TestDrawSample:
     def test_noiseless_absent_lies_in_clutter(self):
         sc = make_scenario(small_config(snr_db=NOISELESS, target_present=False))
         rng = np.random.default_rng(5)
-        for i in range(1, 10):
-            y = draw_sample(sc, i, rng).vector
+        for _ in range(9):
+            y = draw_sample(sc, rng)
             resid = projector_complement_apply(sc.clutter_basis, y)
             assert np.linalg.norm(resid) < 1e-10
 
@@ -102,8 +109,8 @@ class TestDrawSample:
             np.linalg.qr(np.hstack([sc.target_basis.basis, sc.clutter_basis.basis]))[0]
         )
         off_clutter = 0
-        for i in range(1, 1001):
-            y = draw_sample(sc, i, rng).vector
+        for _ in range(1000):
+            y = draw_sample(sc, rng)
             assert np.linalg.norm(projector_complement_apply(stacked, y)) < 1e-9
             if np.linalg.norm(projector_complement_apply(sc.clutter_basis, y)) > 1e-8:
                 off_clutter += 1
@@ -115,18 +122,13 @@ class TestDrawSample:
         rng = np.random.default_rng(10)
         acc = np.zeros((8, 8))
         trials = 100_000
-        for i in range(trials):
-            y = draw_sample(sc, i + 1, rng).vector
+        for _ in range(trials):
+            y = draw_sample(sc, rng)
             acc += np.outer(y, y)
         acc /= trials
         Qs, Qc = sc.target_basis.basis, sc.clutter_basis.basis
         pop = Qs @ Qs.T + Qc @ Qc.T + sc.noise_std**2 * np.eye(8)
         assert np.linalg.norm(acc - pop) / np.linalg.norm(pop) < 0.05
-
-    def test_sample_index_carried(self):
-        sc = make_scenario(small_config())
-        s = draw_sample(sc, 7, np.random.default_rng(0))
-        assert isinstance(s, Sample) and s.index == 7
 
 
 class TestPopulationEigenvalues:
@@ -158,8 +160,8 @@ class TestPopulationEigenvalues:
         rng = np.random.default_rng(12)
         acc = np.zeros((8, 8))
         trials = 100_000
-        for i in range(trials):
-            y = draw_sample(sc, i + 1, rng).vector
+        for _ in range(trials):
+            y = draw_sample(sc, rng)
             acc += np.outer(y, y)
         emp = np.sort(np.linalg.eigvalsh(acc / trials))[::-1]
         pop = population_eigenvalues(sc)
