@@ -27,7 +27,7 @@ eigenvalues of M / i are the nonzero eigenvalues of the covariance
 Y Y^T / i, and its top-k eigenvectors V_k are the orthonormal coefficients
 of the signal basis Q^T V_k, so neither that n x k basis nor the n x n
 covariance is formed unless ``state.signal_basis`` or ``state.covariance``
-is read, nor V_k when the rank cut keeps every direction (see ``ingest``).
+is read, nor any eigenpair when a Cholesky test shows the cut keeps all r (``ingest``).
 
 The statistic is computed in the log domain; 1/T is capped at 1e308.
 """
@@ -192,11 +192,6 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
     return max(0, min(k, cap))
 
 
-def _spectrum(w: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Covariance eigenvalues, descending and padded to n, from those of M (ascending)."""
-    return np.concatenate([np.maximum(w[::-1] / i, 0.0), np.zeros(n - w.size)])
-
-
 def _append_sample(state: DetectorState, vec: np.ndarray) -> None:
     """Fold one sample into Q, X, M and the off-span part of Q_s.
 
@@ -233,8 +228,10 @@ def ingest(state: DetectorState, y) -> DetectorState:
     are the orthonormal coefficients of the signal basis Q^T V_k. The sines
     of its principal angles with Q_s are the singular values of the part of
     Q_s off that basis, [Q_s - Q^T X; V_perp^T X] in orthonormal coordinates.
-    When k = r that part is Q_s - Q^T X alone, so after a k = r step only the
-    eigenvalues are taken, and the eigenvectors only if the cut falls below r.
+    When k = r that part is Q_s - Q^T X alone, so after a k = r step under the hint rule
+    with r < n, a Cholesky factorization of M - t i I shows k = r with no spectrum:
+    t = max(gamma sigma^2, 1e-10 tr(M) / i) is at least the rule's threshold, as
+    tr(M) / i >= lambda_max. Otherwise ``eigh`` gives the spectrum and V_k.
     """
     if state.decision.variant is not Outcome.UNDECIDED:
         raise RuntimeError("cannot ingest after a decision was reached")
@@ -247,17 +244,23 @@ def ingest(state: DetectorState, y) -> DetectorState:
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"sample {i} has a non-finite entry")
 
-    kept_all = state.estimated_rank == state._rank
+    was_full = state.estimated_rank == state._rank
     _append_sample(state, vec)
     state.sample_count = i
     r = state._rank
     m = state._m[:r, :r]
-    w, V = (np.linalg.eigvalsh(m), None) if kept_all else np.linalg.eigh(m)
-    k = estimate_rank(_spectrum(w, n, i), cfg, i)
-    if V is None and k < r:
+    full = was_full and r < n and cfg.noise_variance_hint is not None
+    if full:
+        level = max(cfg.rank_gap_factor * cfg.noise_variance_hint, 1e-10 * np.trace(m) / i)
+        try:
+            np.linalg.cholesky(m - i * level * np.eye(r))
+        except np.linalg.LinAlgError:
+            full = False
+    if full:
+        k, V = r, None
+    else:
         w, V = np.linalg.eigh(m)
-        k = estimate_rank(_spectrum(w, n, i), cfg, i)
-    if V is not None:
+        k = estimate_rank(np.concatenate([np.maximum(w[::-1] / i, 0.0), np.zeros(n - r)]), cfg, i)
         V = V[:, ::-1]
         if np.max(np.abs(V[:, :k].T @ V[:, :k] - np.eye(k)), initial=0.0) > _ORTHO_TOL:
             raise ValueError("signal basis coefficients are not orthonormal")
@@ -338,6 +341,8 @@ def noiseless_breakpoint(
     stacked_dirs = target_basis.basis.T
     for m, y in enumerate(samples, start=1):
         vec = np.asarray(y, dtype=float)
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"sample {m} has a non-finite entry")
         _, r = gram_schmidt_step(sample_dirs, vec)
         r_norm = np.linalg.norm(r)
         if r_norm <= tol * np.linalg.norm(vec):

@@ -57,6 +57,9 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("trials", "max_samples", "parallelism", "master_seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1 or self.max_samples < 1 or self.parallelism < 1:
             raise ValueError("trials, max_samples and parallelism must be >= 1")
         if not isinstance(self.detector, dict):
@@ -110,13 +113,15 @@ def load_experiment_config(doc: dict, master_seed: int | None = None) -> Experim
     The scenario block is read by ``config_from_json``; its hypothesis does
     not matter, since ``run_experiment`` runs both.
     """
+    if not isinstance(doc, dict) or not isinstance(doc.get("scenario"), dict):
+        raise ValueError("the config and its scenario block must be JSON objects")
     return ExperimentConfig(
         scenario=config_from_json(doc["scenario"]),
-        trials=int(doc["trials"]),
-        max_samples=int(doc["max_samples"]),
+        trials=doc["trials"],
+        max_samples=doc["max_samples"],
         detector=doc.get("detector", {}),
-        parallelism=int(doc.get("parallelism", 1)),
-        master_seed=int(master_seed if master_seed is not None else doc.get("seed", 0)),
+        parallelism=doc.get("parallelism", 1),
+        master_seed=master_seed if master_seed is not None else doc.get("seed", 0),
     )
 
 

@@ -239,9 +239,9 @@ class TestConfigValidation:
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Names of the np.linalg eigen-solvers called, in order."""
+    """Names of the np.linalg eigen-solvers and Cholesky factorizations called, in order."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "cholesky"):
         solver = getattr(np.linalg, name)
 
         def counted(*args, _solver=solver, _name=name, **kwargs):
@@ -389,7 +389,8 @@ class TestSpectralState:
     def test_long_noiseless_stream_keeps_rank_sized_state(self, present, eig_calls):
         # 3n samples from a (d1 + d2)- or d1-dimensional span: the state stays
         # r x r past i = n, with no switch to an n x n matrix. The cut keeps
-        # every direction throughout, so no eigenvector is ever computed.
+        # every direction throughout, so one Cholesky factorization per sample
+        # shows it and no eigenvalue is ever computed.
         n, d1, d2 = 40, 4, 2
         sc = noiseless_scenario(n, d1, d2, present, 536)
         ys = list(sample_stream(sc, np.random.default_rng(537), 3 * n))
@@ -397,7 +398,7 @@ class TestSpectralState:
         state = detector_init(cfg)
         for y in ys:
             ingest(state, y)
-        assert eig_calls == ["eigvalsh"] * len(ys)
+        assert eig_calls == ["cholesky"] * len(ys)
         r = d1 + d2 if present else d1
         assert state._rank == r
         assert state._q.shape[0] < n and state._m.shape[0] < n
@@ -411,9 +412,10 @@ class TestSpectralState:
 
     @pytest.mark.parametrize("stream", ["noise", "tiny_then_repeat"])
     def test_eigenvectors_only_when_cut_drops_below_rank(self, stream, eig_calls):
-        # After a step with k = r only the eigenvalues are computed; the
-        # eigenvectors follow in the same step when the cut then falls below
-        # r, and every step after a k < r step computes them directly.
+        # After a step with k = r a Cholesky factorization tests whether the
+        # cut keeps every direction again; the eigenpairs follow in the same
+        # step only when it does not. Every step after a k < r step, and every
+        # step with r = n (where the cap k <= n - 1 cuts), computes them directly.
         n = 16
         rng = np.random.default_rng(538)
         target = orthonormalize(rng.standard_normal((n, 2)), tol=1e-12)
@@ -426,32 +428,109 @@ class TestSpectralState:
             ys[0], ys[1], hint = 1e-3 * ys[2], 10.0 * ys[2], 0.05
         cfg = replace(passive_config(target, len(ys)), noise_variance_hint=hint)
         state = detector_init(cfg)
-        full_before, steps = True, []
+        full_before, steps, failed_tests = True, [], 0
         for y in ys:
             eig_calls.clear()
             ingest(state, y)
             full = state.estimated_rank == state._rank
             steps.append((full_before, full))
-            if not full_before:
+            if not full_before or state._rank == n:
                 assert eig_calls == ["eigh"]
             elif full:
-                assert eig_calls == ["eigvalsh"]
-            else:  # the one extra eigvalsh of a k = r -> k < r transition
-                assert eig_calls == ["eigvalsh", "eigh"]
+                assert eig_calls == ["cholesky"]
+            else:  # the failed test of a k = r -> k < r transition below r = n
+                assert eig_calls == ["cholesky", "eigh"]
+                failed_tests += 1
             full_before = full
         drops, rises = steps.count((True, False)), steps.count((False, True))
         if stream == "noise":
-            # k = r = i below n; the cap k <= n - 1 cuts below r = n from i = n.
-            assert (drops, rises) == (1, 0)
+            # k = r = i below n; the cap k <= n - 1 cuts below r = n from i = n,
+            # where r = n skips the test.
+            assert (drops, rises, failed_tests) == (1, 0, 0)
             assert [full for _, full in steps].index(False) == n - 1
         else:
-            assert drops >= 2 and rises >= 1
+            assert drops >= 2 and rises >= 1 and failed_tests >= 2
         want = reference_spectrum_run(cfg, ys)
         assert [row[3] for row in state.trajectory] == [k for k, _, _ in want]
         np.testing.assert_allclose(
             [row[2] for row in state.trajectory], [inv_t for _, inv_t, _ in want],
             rtol=self.INV_T_RTOL, atol=0,
         )
+
+    @staticmethod
+    def rank_calls_against_spectrum(cfg, ys, eig_calls):
+        """Ingest ys, checking every k_i against estimate_rank on eigvalsh of the same M.
+
+        Returns the solver calls ingest made at each step.
+        """
+        n = cfg.target_basis.ambient_dim
+        state, calls = detector_init(cfg), []
+        for i, y in enumerate(ys, start=1):
+            eig_calls.clear()
+            ingest(state, y)
+            calls.append(list(eig_calls))
+            r = state._rank
+            lam = np.zeros(n)
+            lam[:r] = np.maximum(np.linalg.eigvalsh(state._m[:r, :r])[::-1] / i, 0.0)
+            assert state.estimated_rank == estimate_rank(lam, cfg, i), f"sample {i}"
+        return calls
+
+    @pytest.mark.parametrize("present", [True, False])
+    @pytest.mark.parametrize("snr_db,hint_scale", [(10.0, 1.0), (0.0, 1.0), (10.0, 0.0)])
+    def test_rank_matches_spectrum_noisy_hint(self, present, snr_db, hint_scale, eig_calls):
+        # Hint 0 keeps every direction up to i = n - 1, so the test meets r = n.
+        n = 32
+        for seed in range(3):
+            sc = make_scenario(ScenarioConfig(n, 4, 2, snr_db, present, 540 + seed))
+            hint = hint_scale * sc.noise_std**2
+            cfg = replace(passive_config(sc.target_basis, 3 * n), noise_variance_hint=hint)
+            ys = list(sample_stream(sc, np.random.default_rng(seed), 3 * n))
+            calls = self.rank_calls_against_spectrum(cfg, ys, eig_calls)
+            assert ["cholesky"] in calls and ["eigh"] in calls
+
+    @pytest.mark.parametrize("present", [True, False])
+    def test_rank_matches_spectrum_noiseless_floor(self, present, eig_calls):
+        # With hint 0 only the 1e-10 relative floor cuts. A sample 1e-6 off
+        # an earlier one adds a direction whose eigenvalue is ~1e-13 of the
+        # largest: below the floor, yet far above rounding, so M alone is
+        # positive definite and only the floor's share of t fails the test.
+        n, d1, d2 = 24, 4, 2
+        sc = noiseless_scenario(n, d1, d2, present, 545)
+        rng = np.random.default_rng(546)
+        ys = list(sample_stream(sc, rng, 2 * n))
+        ys[6] = ys[1] + 1e-6 * np.linalg.norm(ys[1]) * rng.standard_normal(n) / math.sqrt(n)
+        calls = self.rank_calls_against_spectrum(passive_config(sc.target_basis, len(ys)), ys, eig_calls)
+        assert calls[:6] == [["cholesky"]] * 6
+        assert calls[6] == ["cholesky", "eigh"]
+        assert calls[7:] == [["eigh"]] * (len(ys) - 7)
+
+    @pytest.mark.parametrize("side", [1 - 1e-6, 1 + 1e-6])
+    def test_rank_matches_spectrum_threshold_at_an_eigenvalue(self, side, eig_calls):
+        # gamma sigma^2 i0 sits 1e-6 relative below or above the smallest
+        # eigenvalue of M at i0. Interlacing keeps that eigenvalue below the
+        # smallest of every earlier M, so every step before i0 keeps all r and
+        # the test runs at i0.
+        n, i0 = 16, 6
+        rng = np.random.default_rng(547)
+        target = orthonormalize(rng.standard_normal((n, 2)), tol=1e-12)
+        ys = [rng.standard_normal(n) for _ in range(2 * n)]
+        state = detector_init(passive_config(target, len(ys)))
+        for y in ys[:i0]:
+            ingest(state, y)
+        smallest = np.linalg.eigvalsh(state._m[:i0, :i0])[0]
+        cfg = replace(passive_config(target, len(ys)), noise_variance_hint=side * smallest / (2.0 * i0))
+        calls = self.rank_calls_against_spectrum(cfg, ys, eig_calls)
+        assert calls[: i0 - 1] == [["cholesky"]] * (i0 - 1)
+        assert calls[i0 - 1] == (["cholesky"] if side < 1 else ["cholesky", "eigh"])
+
+    def test_rank_matches_spectrum_gap_rule(self, eig_calls):
+        n = 32
+        for seed, present in enumerate([True, False]):
+            sc = make_scenario(ScenarioConfig(n, 4, 2, 10.0, present, 548 + seed))
+            cfg = replace(passive_config(sc.target_basis, 3 * n), noise_variance_hint=None)
+            ys = list(sample_stream(sc, np.random.default_rng(seed), 3 * n))
+            calls = self.rank_calls_against_spectrum(cfg, ys, eig_calls)
+            assert calls == [["eigh"]] * len(ys)
 
     @pytest.mark.parametrize("corrupt", ["scale", "duplicate", "tilt"])
     def test_corrupted_direction_is_rejected(self, corrupt):
@@ -587,6 +666,15 @@ class TestNoiselessBreakpoint:
         sc = noiseless_scenario(1024, 120, 10, True, seed)
         samples = sample_stream(sc, np.random.default_rng(seed + 1), 122)
         assert noiseless_breakpoint(sc.target_basis, samples) == (121, True)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sample_rejected(self, bad):
+        # Without the check it returned (None, None), the "stream ended" answer.
+        sc = noiseless_scenario(16, 3, 2, True, 87)
+        ys = list(sample_stream(sc, np.random.default_rng(88), 6))
+        ys[1][5] = bad
+        with pytest.raises(ValueError, match="sample 2 has a non-finite entry"):
+            noiseless_breakpoint(sc.target_basis, ys)
 
     def test_budget_exhaustion(self):
         sc = noiseless_scenario(16, 3, 1, False, 85)

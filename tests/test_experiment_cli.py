@@ -171,6 +171,27 @@ class TestSimulateCli:
         assert key in r.stderr and "Traceback" not in r.stderr
         assert r.stdout == ""
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ([1, 2], "config"),
+            ({**SMALL_DOC, "scenario": [1]}, "scenario"),
+            ({**SMALL_DOC, "trials": None}, "trials"),
+            ({**SMALL_DOC, "parallelism": None}, "parallelism"),
+            ({**SMALL_DOC, "seed": None}, "seed"),
+            ({**SMALL_DOC, "max_samples": 2.5}, "max_samples"),
+        ],
+    )
+    def test_config_of_wrong_shape_exits_2(self, tmp_path, doc, key):
+        # Without the checks the first five exited 1 with a TypeError
+        # traceback, and a fractional budget ran truncated to 2 samples.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        r = run_cli("simulate", "--config", str(config))
+        assert r.returncode == 2
+        assert key in r.stderr and "Traceback" not in r.stderr
+        assert r.stdout == ""
+
     @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
     def test_snr_not_a_level_exits_2(self, tmp_path, snr_db):
         # Without the check both ran as a noiseless experiment and exited 0.
