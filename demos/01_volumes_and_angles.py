@@ -13,7 +13,6 @@ from vcdetect import (
     SubspaceBasis,
     orthonormalize,
     principal_angles,
-    stacked_log_volume,
     volume,
     volume_correlation,
 )
@@ -35,10 +34,11 @@ print()
 
 # --- principal angles ---------------------------------------------------
 # Two planes in R^4 sharing one direction: the first principal angle is 0,
-# the second measures how far apart the remaining directions are.
+# the second measures how far apart the remaining directions are (60 deg:
+# B's second vector leans out of A's plane by theta).
 A = SubspaceBasis(np.eye(4)[:, :2])
 theta = np.pi / 3
-second = np.array([0.0, 0.0, np.cos(theta), np.sin(theta)])
+second = np.array([0.0, np.cos(theta), np.sin(theta), 0.0])
 B = SubspaceBasis(np.column_stack([np.eye(4)[:, 0], second]))
 angles = principal_angles(A, B)
 print("principal angles (deg):", np.degrees(angles))
@@ -48,7 +48,6 @@ print("principal angles (deg):", np.degrees(angles))
 # the product of the sines of the principal angles.  A shared direction
 # (sin 0 = 0) drives it to zero, flagging an intersection.
 print("volume correlation A,B:", volume_correlation(A, B))
-print("log stacked volume:    ", stacked_log_volume(A, B), "(-inf: A and B intersect)")
 print()
 
 C = orthonormalize(rng.standard_normal((12, 3)), tol=1e-12)

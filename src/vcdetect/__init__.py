@@ -30,19 +30,14 @@ from .geometry import (
     SubspaceBasis,
     elementary_symmetric,
     incremental_volume_factor,
-    log_volume,
     orthonormalize,
     principal_angles,
-    projector_complement_apply,
-    stacked_log_volume,
     volume,
     volume_correlation,
 )
 from .scenario import (
     Scenario,
     ScenarioConfig,
-    config_from_json,
-    config_to_json,
     draw_sample,
     make_scenario,
     population_eigenvalues,
@@ -51,4 +46,4 @@ from .scenario import (
     with_hypothesis,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -47,8 +47,14 @@ class BoundInputs:
         object.__setattr__(self, "eigenvalues", lam)
         if self.noise_variance <= 0:
             raise ValueError("noise_variance must be positive")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if self.ambient_dim < len(lam):
+            raise ValueError(
+                f"ambient_dim must be >= the {len(lam)} eigenvalues, got {self.ambient_dim}"
+            )
+        if self.target_dim is not None and self.target_dim < 1:
+            raise ValueError(f"target_dim must be >= 1 when given, got {self.target_dim}")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 1 <= self.signal_rank <= len(lam):

@@ -282,7 +282,7 @@ def ingest(state: DetectorState, y) -> DetectorState:
 
 
 def decide(state: DetectorState) -> Decision:
-    """Threshold test on 1/T, then stall test, then budget check.
+    """Threshold test on 1/T, then stall test; the budget is ``run_stream``'s.
 
     Reads only the trajectory, so repeated calls give the same decision. The
     stall test fires when each of the last ``stall_patience`` steps of 1/T

@@ -15,7 +15,7 @@ from itertools import count
 import numpy as np
 
 from .detector import DetectorConfig, Outcome, decision_label, run_stream
-from .scenario import ScenarioConfig, config_from_json, draw_sample, make_scenario, with_hypothesis
+from .scenario import ScenarioConfig, draw_sample, make_scenario, with_hypothesis
 
 __all__ = [
     "ExperimentConfig",
@@ -110,13 +110,26 @@ PRESETS: dict[str, dict] = {
 def load_experiment_config(doc: dict, master_seed: int | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document.
 
-    The scenario block is read by ``config_from_json``; its hypothesis does
-    not matter, since ``run_experiment`` runs both.
+    The scenario block takes ``n``, ``d1``, ``d2``, ``snr_db`` (a number or
+    ``"inf"``) and ``seed`` (default 0); any other key is rejected. It sets no
+    hypothesis, since ``run_experiment`` runs both.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("scenario"), dict):
         raise ValueError("the config and its scenario block must be JSON objects")
+    block = dict(doc["scenario"])
+    snr = block.pop("snr_db")
+    scenario = ScenarioConfig(
+        ambient_dim=block.pop("n"),
+        clutter_dim=block.pop("d1"),
+        target_dim=block.pop("d2"),
+        snr_db=float("inf") if snr == "inf" else snr,
+        target_present=False,
+        seed=block.pop("seed", 0),
+    )
+    if block:
+        raise ValueError(f"unknown scenario key {next(iter(block))!r}")
     return ExperimentConfig(
-        scenario=config_from_json(doc["scenario"]),
+        scenario=scenario,
         trials=doc["trials"],
         max_samples=doc["max_samples"],
         detector=doc.get("detector", {}),

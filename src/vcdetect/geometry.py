@@ -20,14 +20,11 @@ __all__ = [
     "SubspaceBasis",
     "orthonormalize",
     "volume",
-    "log_volume",
     "principal_angles",
     "volume_correlation",
-    "stacked_log_volume",
     "residual_log_volume",
     "gram_schmidt_step",
     "incremental_volume_factor",
-    "projector_complement_apply",
     "elementary_symmetric",
 ]
 
@@ -100,31 +97,19 @@ def orthonormalize(X, tol: float = 1e-8) -> SubspaceBasis:
     return SubspaceBasis(np.column_stack(cols))
 
 
-def _top_singular_values(X, d: int) -> np.ndarray | None:
-    """The ``d`` largest singular values of ``X``, or None when rank(X) < d."""
-    X = _as_matrix(X)
-    if d < 1 or d > X.shape[1]:
-        raise ValueError(f"d={d} out of range for {X.shape[1]} columns")
-    s = np.linalg.svd(X, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0 or np.sum(s > SINGULAR_VALUE_FLOOR * s[0]) < d:
-        return None
-    return s[:d]
-
-
 def volume(X, d: int) -> float:
     """Product of the ``d`` largest singular values of ``X``.
 
     Equals sqrt(det(X^T X)) for a full-column-rank X with d columns, and 0
     whenever rank(X) < d.
     """
-    s = _top_singular_values(X, d)
-    return 0.0 if s is None else float(np.prod(s))
-
-
-def log_volume(X, d: int) -> float:
-    """Sum of logs of the ``d`` largest singular values; -inf if rank(X) < d."""
-    s = _top_singular_values(X, d)
-    return float("-inf") if s is None else float(np.sum(np.log(s)))
+    X = _as_matrix(X)
+    if d < 1 or d > X.shape[1]:
+        raise ValueError(f"d={d} out of range for {X.shape[1]} columns")
+    s = np.linalg.svd(X, compute_uv=False)
+    if s.size == 0 or s[0] <= 0.0 or np.sum(s > SINGULAR_VALUE_FLOOR * s[0]) < d:
+        return 0.0
+    return float(np.prod(s[:d]))
 
 
 def principal_angles(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:
@@ -166,21 +151,6 @@ def volume_correlation(A: SubspaceBasis, B: SubspaceBasis) -> float:
     return float(np.prod(_sines(A, B)))
 
 
-def stacked_log_volume(A: SubspaceBasis, B: SubspaceBasis) -> float:
-    """log of Vol_{dA+dB}([A, B]) for orthonormal blocks; -inf if it vanishes.
-
-    0.0 if a block is empty; otherwise the log of the product of the sines of
-    the principal angles, taken from the part (I - A A^T) B of B off span(A).
-    """
-    if A.ambient_dim != B.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    if A.dim == 0 or B.dim == 0:
-        return 0.0
-    if A.dim + B.dim > A.ambient_dim:
-        return float("-inf")
-    return residual_log_volume(B.basis - A.basis @ (A.basis.T @ B.basis))
-
-
 def residual_log_volume(residual) -> float:
     """log of the product of the singular values of ``residual``.
 
@@ -211,17 +181,6 @@ def gram_schmidt_step(rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
     return c + c2, r
 
 
-def projector_complement_apply(B: SubspaceBasis, v) -> np.ndarray:
-    """Apply the projector onto the orthogonal complement of span(B) to v.
-
-    Two projection passes keep the residual orthogonal to span(B) to ~1e-15.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (B.ambient_dim,):
-        raise ValueError(f"vector length {v.shape} does not match ambient dim {B.ambient_dim}")
-    return gram_schmidt_step(B.basis.T, v)[1]
-
-
 def incremental_volume_factor(X, Yprev, y) -> float:
     """Residual norm of y off the column space of [X, Yprev].
 
@@ -235,7 +194,7 @@ def incremental_volume_factor(X, Yprev, y) -> float:
         raise ValueError("row dimensions are inconsistent")
     stacked = np.hstack([X, Yprev])
     base = orthonormalize(stacked, tol=1e-12)
-    return float(np.linalg.norm(projector_complement_apply(base, y)))
+    return float(np.linalg.norm(gram_schmidt_step(base.basis.T, y)[1]))
 
 
 def elementary_symmetric(values, k: int) -> float:

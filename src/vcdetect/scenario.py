@@ -22,7 +22,6 @@ of a sample. With unit-variance coefficients ``E||x||^2`` equals d1+d2
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -38,8 +37,6 @@ __all__ = [
     "draw_sample",
     "sample_stream",
     "population_eigenvalues",
-    "config_to_json",
-    "config_from_json",
     "with_hypothesis",
 ]
 
@@ -57,15 +54,22 @@ class ScenarioConfig:
     seed: int
 
     def __post_init__(self):
+        # Types first, since a comparison below raises TypeError on a string;
+        # bool is an int subclass, so it is ruled out by name.
+        for name in ("ambient_dim", "clutter_dim", "target_dim", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.clutter_dim < 1 or self.target_dim < 1:
             raise ValueError("subspace dimensions must be >= 1")
         if self.clutter_dim + self.target_dim > self.ambient_dim:
             raise ValueError("d1 + d2 must not exceed the ambient dimension")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        # NaN fails this test too; +inf is the noiseless code.
-        if not self.snr_db > -math.inf:
-            raise ValueError(f"snr_db must be a number or inf, got {self.snr_db}")
+        # NaN fails the comparison too; +inf is the noiseless code.
+        snr = self.snr_db
+        if isinstance(snr, bool) or not isinstance(snr, (int, float)) or not snr > -math.inf:
+            raise ValueError(f"snr_db must be a number or inf, got {snr!r}")
 
     @property
     def noise_variance(self) -> float:
@@ -133,36 +137,6 @@ def population_eigenvalues(sc: Scenario) -> np.ndarray:
         R = R + Qs @ Qs.T
     R = R + sc.noise_std**2 * np.eye(cfg.ambient_dim)
     return np.linalg.eigvalsh(R)[::-1]
-
-
-def config_to_json(cfg: ScenarioConfig) -> str:
-    """Serialize a scenario config; bases are regenerated from the seed."""
-    return json.dumps(
-        {
-            "n": cfg.ambient_dim,
-            "d1": cfg.clutter_dim,
-            "d2": cfg.target_dim,
-            "snr_db": "inf" if math.isinf(cfg.snr_db) else cfg.snr_db,
-            "seed": cfg.seed,
-            "hypothesis": "target_present" if cfg.target_present else "target_absent",
-        }
-    )
-
-
-def config_from_json(doc: str | dict) -> ScenarioConfig:
-    d = json.loads(doc) if isinstance(doc, str) else dict(doc)
-    hypothesis = d.get("hypothesis", "target_absent")
-    if hypothesis not in ("target_present", "target_absent"):
-        raise ValueError(f"unknown hypothesis {hypothesis!r}")
-    snr = d["snr_db"]
-    return ScenarioConfig(
-        ambient_dim=int(d["n"]),
-        clutter_dim=int(d["d1"]),
-        target_dim=int(d["d2"]),
-        snr_db=float("inf") if snr == "inf" else float(snr),
-        target_present=hypothesis == "target_present",
-        seed=int(d.get("seed", 0)),
-    )
 
 
 def with_hypothesis(cfg: ScenarioConfig, target_present: bool) -> ScenarioConfig:

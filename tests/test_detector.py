@@ -17,7 +17,7 @@ from vcdetect.detector import (
     run_stream,
     write_trajectory_csv,
 )
-from vcdetect.geometry import SubspaceBasis, orthonormalize, stacked_log_volume
+from vcdetect.geometry import SubspaceBasis, orthonormalize, residual_log_volume
 from vcdetect.scenario import (
     ScenarioConfig,
     draw_sample,
@@ -252,6 +252,14 @@ def eig_calls(monkeypatch):
     return calls
 
 
+def reference_log_volume(A, B):
+    """log Vol([A, B]) of two bases: -inf when dim A + dim B > n, else the log
+    of the sines of B off span(A)."""
+    if A.dim + B.dim > A.ambient_dim:
+        return -math.inf
+    return residual_log_volume(B.basis - A.basis @ (A.basis.T @ B.basis))
+
+
 def reference_spectrum_run(cfg, samples):
     """(k_i, 1/T, top-k vectors) per sample from the spectrum as first implemented.
 
@@ -276,7 +284,7 @@ def reference_spectrum_run(cfg, samples):
             w, V = np.linalg.eigh((cov + cov.T) / 2.0)
             lam, vecs = w[::-1], V[:, ::-1]
         k = estimate_rank(lam, cfg, i)
-        log_t = stacked_log_volume(SubspaceBasis(vecs[:, :k]), cfg.target_basis) if k else 0.0
+        log_t = reference_log_volume(SubspaceBasis(vecs[:, :k]), cfg.target_basis) if k else 0.0
         out.append((k, min(math.exp(-log_t), 1e308) if log_t > -710 else 1e308, vecs[:, :k]))
     return out
 

@@ -204,6 +204,30 @@ class TestSimulateCli:
         assert "snr_db" in r.stderr
         assert r.stdout == ""
 
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("n", None, "ambient_dim"),
+            ("snr_db", None, "snr_db"),
+            ("snr_db", [1], "snr_db"),
+            ("n", 8.7, "ambient_dim"),
+            ("seed", 1.5, "seed"),
+            ("n", True, "ambient_dim"),
+            ("hypothesis", "target_present", "hypothesis"),
+        ],
+    )
+    def test_bad_scenario_block_exits_2(self, tmp_path, field, value, name):
+        # Without the type checks the first three exited 1 with a TypeError
+        # traceback, 8.7 and 1.5 ran truncated, true ran as n = 1 and the
+        # hypothesis was accepted and ignored.
+        doc = {**SMALL_DOC, "scenario": {**SMALL_DOC["scenario"], field: value}}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        r = run_cli("simulate", "--config", str(config))
+        assert r.returncode == 2
+        assert name in r.stderr and "Traceback" not in r.stderr
+        assert r.stdout == ""
+
     def test_missing_config_file_exits_2(self):
         r = run_cli("simulate", "--config", "/nonexistent/cfg.json")
         assert r.returncode == 2
@@ -359,3 +383,25 @@ class TestBoundCli:
     def test_missing_flag_usage_error(self):
         r = run_cli("bound", "--hypothesis", "present", "--eigs", "3,2")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--delta", "inf", "delta"),
+            ("--delta", "nan", "delta"),
+            ("--n", "1", "ambient_dim"),
+            ("--n", "-5", "ambient_dim"),
+            ("--d2", "-3", "target_dim"),
+        ],
+    )
+    def test_nonsense_input_exits_2(self, flag, value, name):
+        # Without the checks these printed m_required 1 or 5825, a deviation
+        # bound of 1000, or (nan) a message that did not name delta. The flag
+        # comes last, so it overrides the valid value before it.
+        r = run_cli(
+            "bound", "--hypothesis", "present", "--eigs", "3,2", "--sigma2", "1",
+            "--n", "10", "--delta", "0.1", "--eps", "0.5", "--d2", "1", flag, value,
+        )
+        assert r.returncode == 2
+        assert name in r.stderr and "Traceback" not in r.stderr
+        assert r.stdout == ""

@@ -8,11 +8,9 @@ from vcdetect.geometry import (
     SubspaceBasis,
     elementary_symmetric,
     incremental_volume_factor,
-    log_volume,
     orthonormalize,
     principal_angles,
-    projector_complement_apply,
-    stacked_log_volume,
+    residual_log_volume,
     volume,
     volume_correlation,
 )
@@ -20,6 +18,11 @@ from vcdetect.geometry import (
 
 def random_basis(rng, n, d):
     return orthonormalize(rng.standard_normal((n, d)), tol=1e-12)
+
+
+def off_span(A, B):
+    """B - A A^T B: the part of B off span(A), whose sines give log Vol([A, B])."""
+    return B.basis - A.basis @ (A.basis.T @ B.basis)
 
 
 def gram_volume(X, d):
@@ -124,24 +127,6 @@ class TestVolume:
             volume(np.eye(3), 4)
 
 
-class TestLogVolume:
-    def test_identity_is_zero(self):
-        assert log_volume(np.eye(4), 4) == 0.0
-
-    def test_rank_deficient_is_minus_inf(self):
-        assert log_volume(np.array([[1.0, 2.0], [2.0, 4.0]]), 2) == -math.inf
-
-    def test_matches_gram_oracle(self):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((8, 3))
-        assert log_volume(X, 3) == pytest.approx(math.log(gram_volume(X, 3)), rel=1e-9)
-
-    def test_exp_consistent_with_volume(self):
-        rng = np.random.default_rng(9)
-        X = rng.standard_normal((10, 4))
-        assert math.exp(log_volume(X, 4)) == pytest.approx(volume(X, 4), rel=1e-9)
-
-
 class TestPrincipalAngles:
     def test_identical_subspaces(self):
         b = SubspaceBasis(np.eye(4)[:, :2])
@@ -215,15 +200,9 @@ class TestVolumeCorrelation:
         rng = np.random.default_rng(16)
         A = random_basis(rng, 14, 3)
         B = random_basis(rng, 14, 4)
-        assert math.exp(stacked_log_volume(A, B)) == pytest.approx(
+        assert math.exp(residual_log_volume(off_span(A, B))) == pytest.approx(
             volume_correlation(A, B), rel=1e-10
         )
-
-    def test_stacked_log_volume_overwide_is_minus_inf(self):
-        rng = np.random.default_rng(17)
-        A = random_basis(rng, 6, 4)
-        B = random_basis(rng, 6, 4)
-        assert stacked_log_volume(A, B) == -math.inf
 
     @pytest.mark.parametrize("seed", range(10))
     def test_stacked_log_volume_of_meeting_spans_is_minus_inf(self, seed):
@@ -233,7 +212,7 @@ class TestVolumeCorrelation:
         A = random_basis(rng, 12, 3)
         shared = A.basis @ rng.standard_normal(3)
         B = orthonormalize(np.column_stack([shared, rng.standard_normal((12, 2))]), tol=1e-12)
-        assert stacked_log_volume(A, B) == -math.inf
+        assert residual_log_volume(off_span(A, B)) == -math.inf
 
     @pytest.mark.parametrize("seed", range(10))
     def test_meeting_spans_give_zero_sine(self, seed):
@@ -284,31 +263,6 @@ class TestIncrementalVolumeFactor:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             incremental_volume_factor(np.eye(4)[:, :1], np.eye(4)[:, 1:2], np.ones(3))
-
-
-class TestProjectorComplement:
-    def test_vector_in_span_maps_to_zero(self):
-        B = SubspaceBasis(np.eye(5)[:, :2])
-        r = projector_complement_apply(B, np.array([2.0, -3.0, 0, 0, 0]))
-        np.testing.assert_allclose(r, 0.0, atol=1e-14)
-
-    def test_orthogonal_vector_unchanged(self):
-        B = SubspaceBasis(np.eye(5)[:, :2])
-        v = np.array([0.0, 0.0, 1.0, 2.0, 3.0])
-        np.testing.assert_allclose(projector_complement_apply(B, v), v)
-
-    def test_residual_orthogonal_to_basis(self):
-        rng = np.random.default_rng(22)
-        B = random_basis(rng, 30, 6)
-        r = projector_complement_apply(B, rng.standard_normal(30))
-        assert np.max(np.abs(B.basis.T @ r)) < 1e-12
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(23)
-        B = random_basis(rng, 20, 5)
-        r1 = projector_complement_apply(B, rng.standard_normal(20))
-        r2 = projector_complement_apply(B, r1)
-        np.testing.assert_allclose(r1, r2, atol=1e-12)
 
 
 class TestElementarySymmetric:

@@ -1,15 +1,13 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from vcdetect.geometry import SubspaceBasis, principal_angles, projector_complement_apply
+from vcdetect.experiment import load_experiment_config
+from vcdetect.geometry import SubspaceBasis, gram_schmidt_step, principal_angles
 from vcdetect.scenario import (
     Scenario,
     ScenarioConfig,
-    config_from_json,
-    config_to_json,
     draw_sample,
     make_scenario,
     population_eigenvalues,
@@ -18,6 +16,16 @@ from vcdetect.scenario import (
 )
 
 NOISELESS = float("inf")
+
+
+def experiment_doc(**scenario):
+    """An experiment document whose scenario block is n=8, d1=2, d2=1 plus ``scenario``."""
+    return {"scenario": {"n": 8, "d1": 2, "d2": 1, **scenario}, "trials": 1, "max_samples": 5}
+
+
+def off_span(B, y):
+    """The part of y off span(B)."""
+    return gram_schmidt_step(B.basis.T, y)[1]
 
 
 def small_config(**kw):
@@ -90,7 +98,7 @@ class TestMakeScenario:
         with pytest.raises(ValueError, match="snr_db"):
             ScenarioConfig(8, 2, 1, snr_db, True, 0)
         with pytest.raises(ValueError, match="snr_db"):
-            config_from_json({"n": 8, "d1": 2, "d2": 1, "snr_db": str(snr_db)})
+            load_experiment_config(experiment_doc(snr_db=str(snr_db)))
 
 
 class TestDrawSample:
@@ -99,8 +107,7 @@ class TestDrawSample:
         rng = np.random.default_rng(5)
         for _ in range(9):
             y = draw_sample(sc, rng)
-            resid = projector_complement_apply(sc.clutter_basis, y)
-            assert np.linalg.norm(resid) < 1e-10
+            assert np.linalg.norm(off_span(sc.clutter_basis, y)) < 1e-10
 
     def test_noiseless_present_leaves_clutter(self):
         sc = make_scenario(small_config(snr_db=NOISELESS, target_present=True))
@@ -111,8 +118,8 @@ class TestDrawSample:
         off_clutter = 0
         for _ in range(1000):
             y = draw_sample(sc, rng)
-            assert np.linalg.norm(projector_complement_apply(stacked, y)) < 1e-9
-            if np.linalg.norm(projector_complement_apply(sc.clutter_basis, y)) > 1e-8:
+            assert np.linalg.norm(off_span(stacked, y)) < 1e-9
+            if np.linalg.norm(off_span(sc.clutter_basis, y)) > 1e-8:
                 off_clutter += 1
         assert off_clutter == 1000
 
@@ -169,19 +176,12 @@ class TestPopulationEigenvalues:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        cfg = ScenarioConfig(256, 20, 5, -10.0, False, 77)
-        doc = config_to_json(cfg)
-        assert config_from_json(doc) == cfg
-        parsed = json.loads(doc)
-        assert parsed["hypothesis"] == "target_absent"
-        assert set(parsed) == {"n", "d1", "d2", "snr_db", "seed", "hypothesis"}
-
-    def test_noiseless_round_trip(self):
-        cfg = small_config(snr_db=NOISELESS)
-        back = config_from_json(config_to_json(cfg))
-        assert math.isinf(back.snr_db)
-
     def test_bad_hypothesis_rejected(self):
-        with pytest.raises(ValueError):
-            config_from_json({"n": 8, "d1": 2, "d2": 1, "snr_db": 0, "hypothesis": "maybe"})
+        # The scenario block sets no hypothesis: run_experiment runs both.
+        with pytest.raises(ValueError, match="hypothesis"):
+            load_experiment_config(experiment_doc(snr_db=0, hypothesis="target_present"))
+
+    def test_scenario_block_keys(self):
+        cfg = load_experiment_config(experiment_doc(snr_db="inf", seed=4)).scenario
+        assert cfg == ScenarioConfig(8, 2, 1, math.inf, False, 4)
+        assert load_experiment_config(experiment_doc(snr_db=-3)).scenario.seed == 0
