@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -45,8 +45,10 @@ class BoundInputs:
     def __post_init__(self):
         lam = tuple(float(v) for v in self.eigenvalues)
         object.__setattr__(self, "eigenvalues", lam)
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
+        if not 0 < self.noise_variance < math.inf:
+            raise ValueError(
+                f"noise_variance must be positive and finite, got {self.noise_variance}"
+            )
         if not 0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.ambient_dim < len(lam):
@@ -82,14 +84,7 @@ class BoundReport:
     deviation_note: str = "leading-order"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m_required": self.m_required,
-                "deviation_bound": self.deviation_bound,
-                "exponent_argument": self.exponent_argument,
-                "deviation_note": self.deviation_note,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _multiplier(delta: float, epsilon: float) -> float:
@@ -192,7 +187,7 @@ def validate_convergence(
     for present in (True, False):
         scenario = make_scenario(with_hypothesis(sc.config, present))
         for trial in range(trials):
-            records += run_trial((scenario, cfg, master_seed, trial))
+            records += run_trial(scenario, cfg, master_seed, trial)
     summary = summarize(records)
     ratio = summary.pop("median_final_ratio")
     absent = summary["target_absent"]

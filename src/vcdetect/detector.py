@@ -34,7 +34,6 @@ The statistic is computed in the log domain; 1/T is capped at 1e308.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -362,14 +361,22 @@ def decision_label(decision: Decision, i: int) -> str:
     return decision.variant.value if i == decision.decided_at else ""
 
 
+def _write_csv(path, header, rows) -> None:
+    """The CSV writer of every output file: LF line endings, no quoting.
+
+    A float's str is its repr (shortest round-trip decimal), so output is byte-stable.
+    """
+    line = ",".join(["%s"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(line % row)
+
+
 def write_trajectory_csv(trajectory, decision: Decision, path) -> None:
     """Write one row per ingested sample: ``i,T,inv_T,k_i,decision``.
 
-    The decision column stays empty until the deciding row. Floats use
-    repr (shortest round-trip decimal), so output is byte-stable.
+    The decision column stays empty until the deciding row.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "T", "inv_T", "k_i", "decision"])
-        for i, t, inv_t, k in trajectory:
-            writer.writerow([i, repr(t), repr(inv_t), k, decision_label(decision, i)])
+    rows = ((i, t, inv_t, k, decision_label(decision, i)) for i, t, inv_t, k in trajectory)
+    _write_csv(path, ("i", "T", "inv_T", "k_i", "decision"), rows)

@@ -1,20 +1,19 @@
 """Monte Carlo experiment runner: seeded trials, CSV trajectories, summaries.
 
-Trial streams are seeded by mixing the master seed with (trial_id,
-hypothesis) through splitmix64, so trials are independent of one another and
-of execution order; parallel and serial runs produce identical records.
+Trials run one at a time in the calling process. Each trial's stream is
+seeded by mixing the master seed with (trial_id, hypothesis) through
+splitmix64, so a trial's records do not depend on which trials ran before it.
 """
 
 from __future__ import annotations
 
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import count
 
 import numpy as np
 
-from .detector import DetectorConfig, Outcome, decision_label, run_stream
+from .detector import DetectorConfig, Outcome, _write_csv, decision_label, run_stream
 from .scenario import ScenarioConfig, draw_sample, make_scenario, with_hypothesis
 
 __all__ = [
@@ -30,6 +29,10 @@ __all__ = [
 ]
 
 RECORD_FIELDS = ("trial_id", "hypothesis", "i", "T", "inv_T", "k_i", "decision")
+
+# The top-level keys of an experiment config. "parallelism" selects nothing;
+# it is checked and accepted because existing configs carry it.
+_CONFIG_KEYS = {"scenario", "trials", "max_samples", "detector", "parallelism", "seed"}
 
 # Keys of an experiment's "detector" block and their types; an int is also a float.
 _DETECTOR_OPTIONS = {"use_noise_hint": bool, "rank_gap_factor": float,
@@ -53,15 +56,14 @@ class ExperimentConfig:
     trials: int
     max_samples: int
     detector: dict = field(default_factory=dict)
-    parallelism: int = 1
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("trials", "max_samples", "parallelism", "master_seed"):
+        for name in ("trials", "max_samples", "master_seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.trials < 1 or self.max_samples < 1 or self.parallelism < 1:
-            raise ValueError("trials, max_samples and parallelism must be >= 1")
+        if self.trials < 1 or self.max_samples < 1:
+            raise ValueError("trials and max_samples must be >= 1")
         if not isinstance(self.detector, dict):
             raise ValueError(f"detector must be an object, got {type(self.detector).__name__}")
         for key, value in self.detector.items():
@@ -89,7 +91,6 @@ PRESETS: dict[str, dict] = {
             "stall_epsilon": 0.016,
             "stall_patience": 7,
         },
-        "parallelism": 1,
     },
     "fig1_desk": {
         "scenario": {"n": 256, "d1": 20, "d2": 5, "snr_db": -10.0, "seed": 20240802},
@@ -102,7 +103,6 @@ PRESETS: dict[str, dict] = {
             "stall_epsilon": 0.02,
             "stall_patience": 10,
         },
-        "parallelism": 1,
     },
 }
 
@@ -110,12 +110,19 @@ PRESETS: dict[str, dict] = {
 def load_experiment_config(doc: dict, master_seed: int | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document.
 
-    The scenario block takes ``n``, ``d1``, ``d2``, ``snr_db`` (a number or
-    ``"inf"``) and ``seed`` (default 0); any other key is rejected. It sets no
-    hypothesis, since ``run_experiment`` runs both.
+    The top level takes only the keys in ``_CONFIG_KEYS``. The scenario block
+    takes ``n``, ``d1``, ``d2``, ``snr_db`` (a number or ``"inf"``) and
+    ``seed`` (default 0); any other key is rejected. It sets no hypothesis,
+    since ``run_experiment`` runs both. ``parallelism`` must be an integer
+    >= 1 when given, and is otherwise ignored.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("scenario"), dict):
         raise ValueError("the config and its scenario block must be JSON objects")
+    if unknown := set(doc) - _CONFIG_KEYS:
+        raise ValueError(f"unknown config key {min(unknown)!r}")
+    parallelism = doc.get("parallelism", 1)
+    if type(parallelism) is not int or parallelism < 1:
+        raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
     block = dict(doc["scenario"])
     snr = block.pop("snr_db")
     scenario = ScenarioConfig(
@@ -133,7 +140,6 @@ def load_experiment_config(doc: dict, master_seed: int | None = None) -> Experim
         trials=doc["trials"],
         max_samples=doc["max_samples"],
         detector=doc.get("detector", {}),
-        parallelism=doc.get("parallelism", 1),
         master_seed=master_seed if master_seed is not None else doc.get("seed", 0),
     )
 
@@ -164,14 +170,12 @@ def _detector_config(cfg: ExperimentConfig, target_basis, noise_variance) -> Det
     )
 
 
-def run_trial(args) -> list[TrajectoryRecord]:
+def run_trial(scenario, det_cfg, master_seed, trial_id) -> list[TrajectoryRecord]:
     """One seeded trial: ``run_stream`` over the scenario's samples, as records.
 
-    ``args`` is ``(scenario, detector config, master seed, trial id)``; the
-    stream is seeded by ``derive_trial_seed`` and drawn lazily, so it stops
-    where the detector does.
+    The stream is seeded by ``derive_trial_seed`` and drawn lazily, so it
+    stops where the detector does.
     """
-    scenario, det_cfg, master_seed, trial_id = args
     present = scenario.config.target_present
     rng = np.random.default_rng(derive_trial_seed(master_seed, trial_id, present))
     decision, trajectory = run_stream(det_cfg, (draw_sample(scenario, rng) for _ in count()))
@@ -188,27 +192,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrajectoryRecord]:
     The geometry depends only on the hypothesis, so each hypothesis's
     scenario and detector config are built once and shared by its trials.
     """
-    tasks = []
+    records = []
     for present in (True, False):
         scenario = make_scenario(with_hypothesis(cfg.scenario, present))
         det_cfg = _detector_config(cfg, scenario.target_basis, scenario.noise_std**2)
-        tasks += [(scenario, det_cfg, cfg.master_seed, trial) for trial in range(cfg.trials)]
-    if cfg.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            per_trial = list(pool.map(run_trial, tasks))
-    else:
-        per_trial = [run_trial(t) for t in tasks]
-    return [rec for rows in per_trial for rec in rows]
+        for trial in range(cfg.trials):
+            records += run_trial(scenario, det_cfg, cfg.master_seed, trial)
+    return records
 
 
 def write_records_csv(records, path) -> None:
-    """CSV with repr-formatted floats (shortest round-trip, byte-stable)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(RECORD_FIELDS) + "\n")
-        for r in records:
-            fh.write(
-                f"{r.trial_id},{r.hypothesis},{r.i},{r.T!r},{r.inv_T!r},{r.k_i},{r.decision}\n"
-            )
+    """One row per record, in ``RECORD_FIELDS`` order (see ``_write_csv``)."""
+    rows = ((r.trial_id, r.hypothesis, r.i, r.T, r.inv_T, r.k_i, r.decision) for r in records)
+    _write_csv(path, RECORD_FIELDS, rows)
 
 
 def summarize(records) -> dict:

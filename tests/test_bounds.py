@@ -66,6 +66,13 @@ class TestSampleBoundPresent:
         with pytest.raises(ValueError):
             inputs(eigenvalues=(3.0, 2.0, 1.5), signal_rank=2)
 
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf, 0.0, -1.0])
+    def test_noise_variance_not_positive_and_finite_rejected(self, sigma2):
+        # nan used to pass the check and fail later on the eigenvalue count,
+        # with a message that did not name the noise variance.
+        with pytest.raises(ValueError, match="noise_variance"):
+            inputs(noise_variance=sigma2)
+
 
 class TestSampleBoundAbsent:
     def test_single_clutter_dimension_has_no_pair_term(self):

@@ -730,6 +730,17 @@ class TestTrajectoryCsv:
         assert all(row.endswith(",") for row in body)
         assert last.endswith("target_present")
 
+    def test_exact_bytes(self, tmp_path):
+        # LF line endings and repr floats, the format of the simulate CSV too.
+        traj = [(1, 1 / 3, 3.0000000000000004, 1), (2, 0.0, 1e308, 2)]
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, Decision(Outcome.TARGET_PRESENT, decided_at=2), path)
+        assert path.read_bytes() == (
+            b"i,T,inv_T,k_i,decision\n"
+            b"1,0.3333333333333333,3.0000000000000004,1,\n"
+            b"2,0.0,1e+308,2,target_present\n"
+        )
+
 
 class TestDecisionType:
     def test_decided_at_consistency(self):

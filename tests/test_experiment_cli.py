@@ -180,11 +180,14 @@ class TestSimulateCli:
             ({**SMALL_DOC, "parallelism": None}, "parallelism"),
             ({**SMALL_DOC, "seed": None}, "seed"),
             ({**SMALL_DOC, "max_samples": 2.5}, "max_samples"),
+            ({**SMALL_DOC, "parallelism": 0}, "parallelism"),
+            ({**SMALL_DOC, "paralelism": 3}, "paralelism"),
         ],
     )
     def test_config_of_wrong_shape_exits_2(self, tmp_path, doc, key):
         # Without the checks the first five exited 1 with a TypeError
-        # traceback, and a fractional budget ran truncated to 2 samples.
+        # traceback, a fractional budget ran truncated to 2 samples, and a
+        # misspelt top-level key was ignored.
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(doc))
         r = run_cli("simulate", "--config", str(config))
@@ -392,6 +395,8 @@ class TestBoundCli:
             ("--n", "1", "ambient_dim"),
             ("--n", "-5", "ambient_dim"),
             ("--d2", "-3", "target_dim"),
+            ("--sigma2", "nan", "noise_variance"),
+            ("--sigma2", "inf", "noise_variance"),
         ],
     )
     def test_nonsense_input_exits_2(self, flag, value, name):

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import vcdetect
@@ -32,3 +34,10 @@ def test_version_matches_pyproject():
     # A regex, since tomllib is missing before Python 3.11.
     match = re.search(r'^version = "([^"]+)"', (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
     assert match and vcdetect.__version__ == match.group(1)
+
+
+def test_cli_loads_no_process_pool():
+    # Trials run in the calling process, so starting the CLI loads no pool machinery.
+    code = ("import sys, vcdetect.cli; "
+            "assert not {'multiprocessing', 'concurrent.futures'} & set(sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
