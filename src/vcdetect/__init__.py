@@ -11,7 +11,6 @@ from .bounds import (
     sample_bound_target_absent,
     sample_bound_target_present,
     tau,
-    validate_convergence,
 )
 from .detector import (
     Decision,
@@ -46,4 +45,4 @@ from .scenario import (
     with_hypothesis,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

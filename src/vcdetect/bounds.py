@@ -1,4 +1,4 @@
-"""Sample-complexity and deviation bound calculators, plus Monte Carlo checks.
+"""Sample-complexity and deviation bound calculators, and the plateau tau.
 
 The calculators evaluate the non-asymptotic sample-size expressions for the
 streaming detector: given the population covariance eigenvalues, noise
@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .detector import DetectorConfig
-from .experiment import run_trial, summarize
 from .geometry import SubspaceBasis, elementary_symmetric, volume_correlation
-from .scenario import Scenario, make_scenario, with_hypothesis
 
 __all__ = [
     "BoundInputs",
@@ -28,7 +25,6 @@ __all__ = [
     "sample_bound_target_present",
     "sample_bound_target_absent",
     "tau",
-    "validate_convergence",
 ]
 
 
@@ -161,35 +157,3 @@ def tau(target: SubspaceBasis, clutter: SubspaceBasis) -> float:
     if value < 1e-12:
         raise ValueError("target and clutter subspaces (nearly) intersect")
     return value
-
-
-def validate_convergence(
-    sc: Scenario,
-    cfg: DetectorConfig,
-    trials: int,
-    max_samples: int | None = None,
-    master_seed: int = 0,
-) -> dict:
-    """Run seeded detector trials under both hypotheses and summarize 1/T.
-
-    Each trial is ``experiment.run_trial``, seeded as ``run_experiment``
-    seeds it. Returns ``summarize``'s block for each hypothesis (decision
-    counts, median final 1/T, per-sample-index quantiles), with the gap
-    between the absent-hypothesis median and 1/tau added to the absent one.
-    Deterministic for a fixed master seed.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if max_samples is not None:
-        cfg = replace(cfg, max_samples=max_samples)
-    plateau = 1.0 / tau(sc.target_basis, sc.clutter_basis)
-    records = []
-    for present in (True, False):
-        scenario = make_scenario(with_hypothesis(sc.config, present))
-        for trial in range(trials):
-            records += run_trial(scenario, cfg, master_seed, trial)
-    summary = summarize(records)
-    ratio = summary.pop("median_final_ratio")
-    absent = summary["target_absent"]
-    absent["plateau_gap"] = abs(absent["median_final_inv_t"] - plateau)
-    return {"inv_tau": plateau, "hypotheses": summary, "median_ratio": ratio}

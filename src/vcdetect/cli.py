@@ -26,6 +26,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
 
+# The detect flags that set a DetectorConfig field of the same name.
+_THRESHOLD_FLAGS = ("rank_gap_factor", "divergence_threshold", "stall_epsilon", "stall_patience")
+
 
 def _load_config_doc(spec: str) -> dict:
     if spec in PRESETS:
@@ -105,14 +108,13 @@ def _cmd_detect(args) -> int:
         target = SubspaceBasis(basis_mat)
     except ValueError as exc:
         raise ValueError(f"target basis: {exc}") from exc
+    # A threshold flag left out takes DetectorConfig's default.
+    given = {f: getattr(args, f) for f in _THRESHOLD_FLAGS if getattr(args, f) is not None}
     cfg = DetectorConfig(
         target_basis=target,
         noise_variance_hint=args.sigma2,
-        rank_gap_factor=args.gamma,
-        divergence_threshold=args.t_div,
-        stall_epsilon=args.stall_epsilon,
-        stall_patience=args.stall_patience,
         max_samples=args.max_samples if args.max_samples is not None else samples.shape[0],
+        **given,
     )
     decision, trajectory = run_stream(cfg, iter(samples))
     report = {
@@ -174,10 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--target-basis", required=True, help="CSV, orthonormal n x d2 matrix")
     det.add_argument("--sigma2", type=float, default=None, help="noise variance hint")
     det.add_argument("--trace", default=None, help="write trajectory CSV here")
-    det.add_argument("--gamma", type=float, default=2.0)
-    det.add_argument("--t-div", type=float, default=1e6)
-    det.add_argument("--stall-epsilon", type=float, default=1e-3)
-    det.add_argument("--stall-patience", type=int, default=5)
+    det.add_argument("--gamma", dest="rank_gap_factor", type=float, default=None)
+    det.add_argument("--t-div", dest="divergence_threshold", type=float, default=None)
+    det.add_argument("--stall-epsilon", type=float, default=None)
+    det.add_argument("--stall-patience", type=int, default=None)
     det.add_argument("--max-samples", type=int, default=None)
     det.set_defaults(func=_cmd_detect)
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,12 @@ class Decision:
             raise ValueError("decided_at must be set exactly when a decision was made")
 
 
+# DetectorConfig's numeric fields and their types, which numpy scalars satisfy.
+_NUMERIC_FIELDS = {"noise_variance_hint": numbers.Real, "rank_gap_factor": numbers.Real,
+                   "divergence_threshold": numbers.Real, "stall_epsilon": numbers.Real,
+                   "stall_patience": numbers.Integral, "max_samples": numbers.Integral}
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     target_basis: SubspaceBasis
@@ -87,16 +94,25 @@ class DetectorConfig:
     max_samples: int = 512
 
     def __post_init__(self):
+        # Types first, since a comparison below raises TypeError on a string;
+        # bool is an int subclass, so it is ruled out by name.
+        for name, kind in _NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name == "noise_variance_hint":
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
         # Each test is written so that NaN fails it. divergence_threshold may
-        # be inf (a threshold that never fires).
+        # be inf (a threshold that never fires); gamma may not, as inf * 0 is NaN.
         if not self.divergence_threshold > 1.0:
             raise ValueError(f"divergence_threshold must exceed 1, got {self.divergence_threshold}")
         if not self.stall_epsilon > 0:
             raise ValueError(f"stall_epsilon must be positive, got {self.stall_epsilon}")
         if self.stall_patience < 1 or self.max_samples < 1:
             raise ValueError("stall_patience and max_samples must be >= 1")
-        if not self.rank_gap_factor > 0:
-            raise ValueError(f"rank_gap_factor must be positive, got {self.rank_gap_factor}")
+        gamma = self.rank_gap_factor
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"rank_gap_factor must be positive and finite, got {gamma}")
         hint = self.noise_variance_hint
         if hint is not None and not (math.isfinite(hint) and hint >= 0):
             raise ValueError(f"noise_variance_hint must be finite and non-negative, got {hint}")

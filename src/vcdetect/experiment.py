@@ -22,7 +22,6 @@ __all__ = [
     "PRESETS",
     "load_experiment_config",
     "run_experiment",
-    "run_trial",
     "write_records_csv",
     "summarize",
     "derive_trial_seed",
@@ -159,45 +158,31 @@ def derive_trial_seed(master_seed: int, trial_id: int, target_present: bool) -> 
     return _splitmix64(s ^ (1 if target_present else 2))
 
 
-def _detector_config(cfg: ExperimentConfig, target_basis, noise_variance) -> DetectorConfig:
-    opts = dict(cfg.detector)
-    hint = noise_variance if opts.pop("use_noise_hint", True) else None
-    return DetectorConfig(
-        target_basis=target_basis,
-        noise_variance_hint=hint,
-        max_samples=cfg.max_samples,
-        **opts,
-    )
-
-
-def run_trial(scenario, det_cfg, master_seed, trial_id) -> list[TrajectoryRecord]:
-    """One seeded trial: ``run_stream`` over the scenario's samples, as records.
-
-    The stream is seeded by ``derive_trial_seed`` and drawn lazily, so it
-    stops where the detector does.
-    """
-    present = scenario.config.target_present
-    rng = np.random.default_rng(derive_trial_seed(master_seed, trial_id, present))
-    decision, trajectory = run_stream(det_cfg, (draw_sample(scenario, rng) for _ in count()))
-    hyp = "target_present" if present else "target_absent"
-    return [
-        TrajectoryRecord(trial_id, hyp, i, t, inv_t, k, decision_label(decision, i))
-        for i, t, inv_t, k in trajectory
-    ]
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[TrajectoryRecord]:
     """All trial trajectories under both hypotheses, in deterministic order.
 
-    The geometry depends only on the hypothesis, so each hypothesis's
-    scenario and detector config are built once and shared by its trials.
+    Each hypothesis's scenario and detector config are built once and shared
+    by its trials. ``make_scenario`` draws the same bases for both hypotheses
+    from the scenario seed; only the noise variance and the target term
+    differ. A trial's stream is seeded by ``derive_trial_seed`` and drawn
+    lazily, so it stops where the detector does.
     """
+    opts = dict(cfg.detector)
+    use_hint = opts.pop("use_noise_hint", True)
     records = []
     for present in (True, False):
         scenario = make_scenario(with_hypothesis(cfg.scenario, present))
-        det_cfg = _detector_config(cfg, scenario.target_basis, scenario.noise_std**2)
+        hint = scenario.noise_std**2 if use_hint else None
+        det_cfg = DetectorConfig(scenario.target_basis, hint, max_samples=cfg.max_samples, **opts)
+        hyp = "target_present" if present else "target_absent"
         for trial in range(cfg.trials):
-            records += run_trial(scenario, det_cfg, cfg.master_seed, trial)
+            rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, trial, present))
+            stream = (draw_sample(scenario, rng) for _ in count())
+            decision, trajectory = run_stream(det_cfg, stream)
+            records += [
+                TrajectoryRecord(trial, hyp, i, t, inv_t, k, decision_label(decision, i))
+                for i, t, inv_t, k in trajectory
+            ]
     return records
 
 

@@ -9,12 +9,10 @@ from vcdetect.bounds import (
     sample_bound_target_absent,
     sample_bound_target_present,
     tau,
-    validate_convergence,
 )
-from vcdetect.detector import DetectorConfig
 from vcdetect.experiment import load_experiment_config, run_experiment, summarize
 from vcdetect.geometry import SubspaceBasis, orthonormalize, volume
-from vcdetect.scenario import ScenarioConfig, make_scenario
+from vcdetect.scenario import make_scenario
 
 
 def inputs(**kw):
@@ -168,64 +166,26 @@ class TestTau:
 
 
 class TestValidateConvergence:
-    def cfg_for(self, sc, **kw):
-        base = dict(
-            target_basis=sc.target_basis,
-            noise_variance_hint=sc.noise_std**2,
-            max_samples=30,
-        )
-        base.update(kw)
-        return DetectorConfig(**base)
+    """``run_experiment``'s 1/T: the absent plateau is 1/tau, and the present 1/T is larger."""
+
+    def run(self, scenario, trials, max_samples, **detector):
+        doc = {"scenario": scenario, "trials": trials, "max_samples": max_samples,
+               "detector": {"use_noise_hint": True, **detector}}
+        cfg = load_experiment_config(doc)
+        sc = make_scenario(cfg.scenario)
+        return summarize(run_experiment(cfg)), 1.0 / tau(sc.target_basis, sc.clutter_basis)
 
     def test_noiseless_plateau_equals_inverse_tau(self):
-        sc = make_scenario(ScenarioConfig(32, 6, 2, float("inf"), False, 8))
-        summary = validate_convergence(sc, self.cfg_for(sc), trials=3)
-        absent = summary["hypotheses"]["target_absent"]
-        assert absent["plateau_gap"] < 1e-8
+        scenario = {"n": 32, "d1": 6, "d2": 2, "snr_db": "inf", "seed": 8}
+        summary, plateau = self.run(scenario, trials=3, max_samples=30)
+        absent = summary["target_absent"]
+        assert abs(absent["median_final_inv_t"] - plateau) < 1e-8
         assert absent["decisions"]["target_absent"] == 3
 
-    def test_single_trial_deterministic(self):
-        sc = make_scenario(ScenarioConfig(24, 4, 2, 5.0, True, 9))
-        a = validate_convergence(sc, self.cfg_for(sc), trials=1, master_seed=3)
-        b = validate_convergence(sc, self.cfg_for(sc), trials=1, master_seed=3)
-        assert a == b
-
     def test_present_dominates_absent(self):
-        sc = make_scenario(ScenarioConfig(48, 6, 2, 5.0, True, 10))
-        cfg = self.cfg_for(
-            sc,
-            divergence_threshold=50.0,
-            stall_epsilon=0.005,
-            stall_patience=8,
-            max_samples=200,
+        scenario = {"n": 48, "d1": 6, "d2": 2, "snr_db": 5.0, "seed": 10}
+        summary, _ = self.run(
+            scenario, trials=5, max_samples=200,
+            divergence_threshold=50.0, stall_epsilon=0.005, stall_patience=8,
         )
-        summary = validate_convergence(sc, cfg, trials=5, max_samples=200)
-        assert summary["median_ratio"] > 1.0
-
-    @pytest.mark.parametrize("master_seed", [0, 4])
-    def test_same_trials_as_experiment(self, master_seed):
-        # validate_convergence runs the experiment's trial function with its
-        # seeding. Without a noise hint the two hypotheses share one detector
-        # config, so both summarize the same trials.
-        thresholds = {"divergence_threshold": 3.0, "stall_epsilon": 0.01, "stall_patience": 6}
-        doc = {
-            "scenario": {"n": 32, "d1": 4, "d2": 2, "snr_db": 0.0, "seed": 12},
-            "trials": 4,
-            "max_samples": 40,
-            "detector": {"use_noise_hint": False, **thresholds},
-        }
-        cfg = load_experiment_config(doc, master_seed=master_seed)
-        sc = make_scenario(cfg.scenario)
-        # The budget comes from the max_samples argument, not from the config.
-        det = DetectorConfig(sc.target_basis, noise_variance_hint=None, max_samples=5, **thresholds)
-        got = validate_convergence(sc, det, cfg.trials, max_samples=40, master_seed=master_seed)
-        want = summarize(run_experiment(cfg))
-        for hyp in ("target_present", "target_absent"):
-            for key in ("trials", "decisions", "median_final_inv_t", "inv_t_quantiles"):
-                assert got["hypotheses"][hyp][key] == want[hyp][key], (hyp, key)
-        assert got["median_ratio"] == want["median_final_ratio"]
-
-    def test_trials_validation(self):
-        sc = make_scenario(ScenarioConfig(24, 4, 2, 5.0, True, 11))
-        with pytest.raises(ValueError):
-            validate_convergence(sc, self.cfg_for(sc), trials=0)
+        assert summary["median_final_ratio"] > 1.0

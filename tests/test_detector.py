@@ -236,6 +236,28 @@ class TestConfigValidation:
         cfg = DetectorConfig(target_basis=self.TARGET, divergence_threshold=math.inf)
         assert cfg.divergence_threshold == math.inf
 
+    def test_infinite_rank_gap_factor_rejected(self):
+        # At a zero hint the threshold gamma sigma^2 would be inf * 0 = NaN,
+        # which the Cholesky cut reads as k = r and the eigh cut as k = 0.
+        with pytest.raises(ValueError, match="rank_gap_factor"):
+            DetectorConfig(self.TARGET, noise_variance_hint=0.0, rank_gap_factor=math.inf)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("stall_patience", 2.5), ("max_samples", 2.5), ("stall_patience", True),
+         ("stall_epsilon", True), ("noise_variance_hint", True), ("divergence_threshold", "5")],
+    )
+    def test_field_of_wrong_type_rejected(self, field, value):
+        # Unchecked, 2.5 failed in decide or ran 3 samples, True read as 1
+        # and a string raised TypeError at the first ingest.
+        with pytest.raises(ValueError, match=field):
+            DetectorConfig(target_basis=self.TARGET, **{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = DetectorConfig(self.TARGET, np.float64(0.5), stall_patience=np.int64(3),
+                             max_samples=np.int32(7))
+        assert cfg.stall_patience == 3 and cfg.max_samples == 7
+
 
 @pytest.fixture
 def eig_calls(monkeypatch):

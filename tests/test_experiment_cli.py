@@ -323,6 +323,22 @@ class TestDetectCli:
         assert "noise_variance_hint" in r.stderr
         assert r.stdout == ""
 
+    def test_infinite_rank_gap_factor_exits_2(self, tmp_path):
+        # gamma = inf made the rank threshold NaN at a zero hint, and a
+        # target-absent stream decided target_present; with a positive hint
+        # k stayed 0 and every trial read absent.
+        samples, basis, _, _ = self.make_files(tmp_path, present=False, noiseless=False)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**SMALL_DOC, "detector": {"rank_gap_factor": float("inf")}}))
+        for args in (
+            ("detect", "--samples", str(samples), "--target-basis", str(basis), "--gamma", "inf"),
+            ("simulate", "--config", str(config)),
+        ):
+            r = run_cli(*args)
+            assert r.returncode == 2, args
+            assert "rank_gap_factor" in r.stderr and "Traceback" not in r.stderr
+            assert r.stdout == ""
+
     def test_non_finite_sample_rejected_with_row(self, tmp_path):
         # A nan parses as a float; without the check the stream ran on and
         # exited 0 as "undecided" or failed inside LAPACK.

@@ -36,6 +36,12 @@ def test_version_matches_pyproject():
     assert match and vcdetect.__version__ == match.group(1)
 
 
+def test_bounds_loads_no_experiment_runner():
+    # The bound calculators need only the geometry, not the Monte Carlo driver.
+    code = "import sys, vcdetect.bounds; assert 'vcdetect.experiment' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_cli_loads_no_process_pool():
     # Trials run in the calling process, so starting the CLI loads no pool machinery.
     code = ("import sys, vcdetect.cli; "
