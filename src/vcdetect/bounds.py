@@ -83,10 +83,6 @@ class BoundReport:
         return json.dumps(asdict(self))
 
 
-def _multiplier(delta: float, epsilon: float) -> float:
-    return (1.0 + epsilon) / (math.sqrt(delta + 1.0) - 1.0) ** 2
-
-
 def _eigen_sums(inputs: BoundInputs) -> float:
     k = inputs.signal_rank
     lam = inputs.eigenvalues[:k]
@@ -100,21 +96,23 @@ def _eigen_sums(inputs: BoundInputs) -> float:
     return pair + noise
 
 
+def _report(inputs: BoundInputs, deviation: float | None, note="leading-order") -> BoundReport:
+    """The report with the sample count and exponent argument of both bounds."""
+    multiplier = (1.0 + inputs.epsilon) / (math.sqrt(inputs.delta + 1.0) - 1.0) ** 2
+    m = max(1, math.ceil(multiplier * _eigen_sums(inputs)))
+    exponent = inputs.signal_rank * inputs.ambient_dim * inputs.epsilon**2
+    return BoundReport(m_required=m, deviation_bound=deviation, exponent_argument=exponent,
+                       deviation_note=note)
+
+
 def sample_bound_target_present(inputs: BoundInputs) -> BoundReport:
     """Samples guaranteeing T^2 <= delta^d2 (leading order), target present.
 
     ``signal_rank`` must be d1 + d2. The deviation bound needs the target
     dimension; it is left as None when ``target_dim`` is not supplied.
     """
-    m = max(1, math.ceil(_multiplier(inputs.delta, inputs.epsilon) * _eigen_sums(inputs)))
-    deviation = None
-    if inputs.target_dim is not None:
-        deviation = inputs.delta**inputs.target_dim
-    return BoundReport(
-        m_required=m,
-        deviation_bound=deviation,
-        exponent_argument=inputs.signal_rank * inputs.ambient_dim * inputs.epsilon**2,
-    )
+    deviation = None if inputs.target_dim is None else inputs.delta**inputs.target_dim
+    return _report(inputs, deviation)
 
 
 def sample_bound_target_absent(
@@ -129,22 +127,13 @@ def sample_bound_target_absent(
     Qc^T P_s_perp Qc; it is evaluated only when both bases are supplied and
     reported as None (symbolic) otherwise.
     """
-    m = max(1, math.ceil(_multiplier(inputs.delta, inputs.epsilon) * _eigen_sums(inputs)))
-    deviation = None
-    note = "leading-order; s-factor symbolic (bases not supplied)"
-    if target is not None and clutter is not None:
-        Qc = clutter.basis
-        Qs = target.basis
-        M = Qc.T @ Qc - (Qs.T @ Qc).T @ (Qs.T @ Qc)
-        sing = np.linalg.svd(M, compute_uv=False)
-        deviation = elementary_symmetric(sing, inputs.signal_rank - 1) * inputs.delta
-        note = "leading-order"
-    return BoundReport(
-        m_required=m,
-        deviation_bound=deviation,
-        exponent_argument=inputs.signal_rank * inputs.ambient_dim * inputs.epsilon**2,
-        deviation_note=note,
-    )
+    if target is None or clutter is None:
+        return _report(inputs, None, "leading-order; s-factor symbolic (bases not supplied)")
+    Qc = clutter.basis
+    Qs = target.basis
+    M = Qc.T @ Qc - (Qs.T @ Qc).T @ (Qs.T @ Qc)
+    sing = np.linalg.svd(M, compute_uv=False)
+    return _report(inputs, elementary_symmetric(sing, inputs.signal_rank - 1) * inputs.delta)
 
 
 def tau(target: SubspaceBasis, clutter: SubspaceBasis) -> float:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .bounds import BoundInputs, sample_bound_target_absent, sample_bound_target_present
-from .detector import DetectorConfig, run_stream, write_trajectory_csv
+from .detector import _THRESHOLDS, DetectorConfig, run_stream, write_trajectory_csv
 from .experiment import (
     PRESETS,
     load_experiment_config,
@@ -25,9 +25,6 @@ from .geometry import SubspaceBasis
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
-
-# The detect flags that set a DetectorConfig field of the same name.
-_THRESHOLD_FLAGS = ("rank_gap_factor", "divergence_threshold", "stall_epsilon", "stall_patience")
 
 
 def _load_config_doc(spec: str) -> dict:
@@ -109,7 +106,7 @@ def _cmd_detect(args) -> int:
     except ValueError as exc:
         raise ValueError(f"target basis: {exc}") from exc
     # A threshold flag left out takes DetectorConfig's default.
-    given = {f: getattr(args, f) for f in _THRESHOLD_FLAGS if getattr(args, f) is not None}
+    given = {f: getattr(args, f) for f in _THRESHOLDS if getattr(args, f) is not None}
     cfg = DetectorConfig(
         target_basis=target,
         noise_variance_hint=args.sigma2,

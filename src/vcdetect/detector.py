@@ -77,10 +77,31 @@ class Decision:
             raise ValueError("decided_at must be set exactly when a decision was made")
 
 
-# DetectorConfig's numeric fields and their types, which numpy scalars satisfy.
-_NUMERIC_FIELDS = {"noise_variance_hint": numbers.Real, "rank_gap_factor": numbers.Real,
-                   "divergence_threshold": numbers.Real, "stall_epsilon": numbers.Real,
-                   "stall_patience": numbers.Integral, "max_samples": numbers.Integral}
+# DetectorConfig's numeric fields: the type (numpy scalars satisfy it), a range
+# test that NaN fails, and its words. divergence_threshold may be inf (a
+# threshold that never fires); gamma may not, as inf * 0 is NaN.
+_NUMERIC_FIELDS = {
+    "noise_variance_hint": (numbers.Real, lambda v: 0 <= v < math.inf, "finite and non-negative"),
+    "rank_gap_factor": (numbers.Real, lambda v: 0 < v < math.inf, "positive and finite"),
+    "divergence_threshold": (numbers.Real, lambda v: v > 1, "greater than 1"),
+    "stall_epsilon": (numbers.Real, lambda v: v > 0, "positive"),
+    "stall_patience": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+    "max_samples": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+}
+# The fields set by name: detect's flags, and an experiment's detector block.
+_THRESHOLDS = ("rank_gap_factor", "divergence_threshold", "stall_epsilon", "stall_patience")
+
+
+def _check_fields(values: dict) -> None:
+    """Raise ValueError naming the first field in ``values`` of the wrong type
+    or range. The type comes first, as a range test raises TypeError on a
+    string; bool, an int subclass, is ruled out by name."""
+    for name, value in values.items():
+        kind, in_range, rule = _NUMERIC_FIELDS[name]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+        if not in_range(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,28 +115,12 @@ class DetectorConfig:
     max_samples: int = 512
 
     def __post_init__(self):
-        # Types first, since a comparison below raises TypeError on a string;
-        # bool is an int subclass, so it is ruled out by name.
-        for name, kind in _NUMERIC_FIELDS.items():
-            value = getattr(self, name)
-            if value is None and name == "noise_variance_hint":
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
-        # Each test is written so that NaN fails it. divergence_threshold may
-        # be inf (a threshold that never fires); gamma may not, as inf * 0 is NaN.
-        if not self.divergence_threshold > 1.0:
-            raise ValueError(f"divergence_threshold must exceed 1, got {self.divergence_threshold}")
-        if not self.stall_epsilon > 0:
-            raise ValueError(f"stall_epsilon must be positive, got {self.stall_epsilon}")
-        if self.stall_patience < 1 or self.max_samples < 1:
-            raise ValueError("stall_patience and max_samples must be >= 1")
-        gamma = self.rank_gap_factor
-        if not 0 < gamma < math.inf:
-            raise ValueError(f"rank_gap_factor must be positive and finite, got {gamma}")
-        hint = self.noise_variance_hint
-        if hint is not None and not (math.isfinite(hint) and hint >= 0):
-            raise ValueError(f"noise_variance_hint must be finite and non-negative, got {hint}")
+        if not isinstance(self.target_basis, SubspaceBasis):
+            raise ValueError(
+                f"target_basis must be a SubspaceBasis, got {type(self.target_basis).__name__}"
+            )
+        _check_fields({name: getattr(self, name) for name in _NUMERIC_FIELDS
+                       if name != "noise_variance_hint" or self.noise_variance_hint is not None})
 
 
 @dataclass

@@ -13,7 +13,8 @@ from itertools import count
 
 import numpy as np
 
-from .detector import DetectorConfig, Outcome, _write_csv, decision_label, run_stream
+from .detector import (_THRESHOLDS, DetectorConfig, Outcome, _check_fields, _write_csv,
+                       decision_label, run_stream)
 from .scenario import ScenarioConfig, draw_sample, make_scenario, with_hypothesis
 
 __all__ = [
@@ -32,10 +33,6 @@ RECORD_FIELDS = ("trial_id", "hypothesis", "i", "T", "inv_T", "k_i", "decision")
 # The top-level keys of an experiment config. "parallelism" selects nothing;
 # it is checked and accepted because existing configs carry it.
 _CONFIG_KEYS = {"scenario", "trials", "max_samples", "detector", "parallelism", "seed"}
-
-# Keys of an experiment's "detector" block and their types; an int is also a float.
-_DETECTOR_OPTIONS = {"use_noise_hint": bool, "rank_gap_factor": float,
-                     "divergence_threshold": float, "stall_epsilon": float, "stall_patience": int}
 
 
 @dataclass(frozen=True)
@@ -65,13 +62,14 @@ class ExperimentConfig:
             raise ValueError("trials and max_samples must be >= 1")
         if not isinstance(self.detector, dict):
             raise ValueError(f"detector must be an object, got {type(self.detector).__name__}")
-        for key, value in self.detector.items():
-            kind = _DETECTOR_OPTIONS.get(key)
-            if kind is None:
-                raise ValueError(f"unknown detector option {key!r}")
-            # bool is an int subclass: a flag must be a bool and a number must not.
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, (kind, int)):
-                raise ValueError(f"detector option {key!r} must be {kind.__name__}, got {value!r}")
+        # The budget is max_samples above, and the noise hint is the scenario's.
+        opts = dict(self.detector)
+        use_hint = opts.pop("use_noise_hint", True)
+        if unknown := [key for key in opts if key not in _THRESHOLDS]:
+            raise ValueError(f"unknown detector option {unknown[0]!r}")
+        if type(use_hint) is not bool:
+            raise ValueError(f"detector option 'use_noise_hint' must be bool, got {use_hint!r}")
+        _check_fields(opts)
 
 
 # Bundled presets. fig1_full is the full-scale geometry (n=1024, d1=40,

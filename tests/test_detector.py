@@ -253,6 +253,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             DetectorConfig(target_basis=self.TARGET, **{field: value})
 
+    def test_target_basis_not_a_subspace_basis_rejected(self):
+        # Unchecked, a plain array was accepted and run_stream died with an
+        # AttributeError on its missing ambient_dim.
+        with pytest.raises(ValueError, match="target_basis"):
+            DetectorConfig(target_basis=np.eye(4)[:, :1])
+
     def test_numpy_scalars_accepted(self):
         cfg = DetectorConfig(self.TARGET, np.float64(0.5), stall_patience=np.int64(3),
                              max_samples=np.int32(7))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from vcdetect import cli, experiment
 from vcdetect.experiment import (
     PRESETS,
     TrajectoryRecord,
@@ -170,6 +172,33 @@ class TestSimulateCli:
         assert r.returncode == 2
         assert key in r.stderr and "Traceback" not in r.stderr
         assert r.stdout == ""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rank_gap_factor", math.inf),
+            ("divergence_threshold", 1),
+            ("divergence_threshold", 0.5),
+            ("stall_epsilon", 0),
+            ("stall_patience", 0),
+        ],
+    )
+    def test_out_of_range_detector_value_exits_2_at_load(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        # Without the load-time range check these passed the block's type
+        # check and were caught only when run_experiment built the detector
+        # config, after a scenario was drawn and without the config prefix.
+        def no_scenario(cfg):
+            raise AssertionError("a scenario was drawn")
+
+        monkeypatch.setattr(experiment, "make_scenario", no_scenario)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**SMALL_DOC, "detector": {**SMALL_DOC["detector"], key: value}}))
+        assert cli.main(["simulate", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert "invalid experiment config:" in err and key in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "doc, key",
