@@ -42,7 +42,6 @@ from .scenario import (
     population_eigenvalues,
     random_subspace,
     sample_stream,
-    with_hypothesis,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -41,6 +41,8 @@ class BoundInputs:
     def __post_init__(self):
         lam = tuple(float(v) for v in self.eigenvalues)
         object.__setattr__(self, "eigenvalues", lam)
+        if not all(math.isfinite(v) for v in lam):
+            raise ValueError(f"eigenvalues must be finite, got {lam}")
         if not 0 < self.noise_variance < math.inf:
             raise ValueError(
                 f"noise_variance must be positive and finite, got {self.noise_variance}"

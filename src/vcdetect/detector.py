@@ -295,7 +295,8 @@ def ingest(state: DetectorState, y) -> DetectorState:
         off = state._off if k == r else np.vstack([state._off, V[:, k:].T @ state._x[:r]])
         log_t = residual_log_volume(off)
     t = math.exp(log_t) if log_t > -700 else 0.0
-    inv_t = min(math.exp(-log_t), INV_T_CAP) if log_t > -710 else INV_T_CAP
+    # exp overflows from -log_t ~ 709.78 on; exp(709.7) already exceeds the cap.
+    inv_t = min(math.exp(-log_t), INV_T_CAP) if log_t > -709.7 else INV_T_CAP
     state.trajectory.append((i, t, inv_t, k))
     state.decision = decide(state)
     return state

@@ -8,14 +8,15 @@ splitmix64, so a trial's records do not depend on which trials ran before it.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 
 from .detector import (_THRESHOLDS, DetectorConfig, Outcome, _check_fields, _write_csv,
                        decision_label, run_stream)
-from .scenario import ScenarioConfig, draw_sample, make_scenario, with_hypothesis
+from .scenario import ScenarioConfig, draw_sample, make_scenario
 
 __all__ = [
     "ExperimentConfig",
@@ -28,15 +29,12 @@ __all__ = [
     "derive_trial_seed",
 ]
 
-RECORD_FIELDS = ("trial_id", "hypothesis", "i", "T", "inv_T", "k_i", "decision")
-
 # The top-level keys of an experiment config. "parallelism" selects nothing;
 # it is checked and accepted because existing configs carry it.
 _CONFIG_KEYS = {"scenario", "trials", "max_samples", "detector", "parallelism", "seed"}
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     trial_id: int
     hypothesis: str
     i: int
@@ -169,7 +167,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrajectoryRecord]:
     use_hint = opts.pop("use_noise_hint", True)
     records = []
     for present in (True, False):
-        scenario = make_scenario(with_hypothesis(cfg.scenario, present))
+        scenario = make_scenario(replace(cfg.scenario, target_present=present))
         hint = scenario.noise_std**2 if use_hint else None
         det_cfg = DetectorConfig(scenario.target_basis, hint, max_samples=cfg.max_samples, **opts)
         hyp = "target_present" if present else "target_absent"
@@ -185,9 +183,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrajectoryRecord]:
 
 
 def write_records_csv(records, path) -> None:
-    """One row per record, in ``RECORD_FIELDS`` order (see ``_write_csv``)."""
-    rows = ((r.trial_id, r.hypothesis, r.i, r.T, r.inv_T, r.k_i, r.decision) for r in records)
-    _write_csv(path, RECORD_FIELDS, rows)
+    """One row per record, in ``TrajectoryRecord`` field order (see ``_write_csv``)."""
+    _write_csv(path, TrajectoryRecord._fields, records)
 
 
 def summarize(records) -> dict:

@@ -69,32 +69,26 @@ class SubspaceBasis:
 def orthonormalize(X, tol: float = 1e-8) -> SubspaceBasis:
     """Orthonormal basis of the column space of ``X``.
 
-    Columns whose residual after projecting out the previously accepted
-    directions falls below ``tol * ||X||_F`` are dropped, so the resulting
-    dimension is the numerical rank of ``X`` at ``tol``. Each column is
-    projected twice (classical Gram-Schmidt applied twice) to keep the
-    result orthonormal to ~1e-14 even at n ~ 1000.
+    Each column is reduced against the accepted directions by
+    ``gram_schmidt_step`` and dropped if its residual falls below
+    ``tol * ||X||_F``, so the resulting dimension is the numerical rank of
+    ``X`` at ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     X = _as_matrix(X)
-    n = X.shape[0]
     scale = np.linalg.norm(X)
-    cols: list[np.ndarray] = []
+    Q = np.empty((X.shape[0], 0))
     if scale == 0.0:
-        return SubspaceBasis(np.empty((n, 0)))
-    for j in range(X.shape[1]):
-        v = X[:, j].copy()
-        for _ in range(2):
-            if cols:
-                Q = np.column_stack(cols)
-                v -= Q @ (Q.T @ v)
-        nrm = np.linalg.norm(v)
+        return SubspaceBasis(Q)
+    # Contiguous columns, and the rows passed as Q.T: a strided v or a
+    # C-ordered row array makes the BLAS round differently.
+    for v in X.T.copy():
+        r = gram_schmidt_step(Q.T, v)[1]
+        nrm = np.linalg.norm(r)
         if nrm >= tol * scale:
-            cols.append(v / nrm)
-    if not cols:
-        return SubspaceBasis(np.empty((n, 0)))
-    return SubspaceBasis(np.column_stack(cols))
+            Q = np.column_stack([Q, r / nrm])
+    return SubspaceBasis(Q)
 
 
 def volume(X, d: int) -> float:

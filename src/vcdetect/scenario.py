@@ -23,7 +23,7 @@ of a sample. With unit-variance coefficients ``E||x||^2`` equals d1+d2
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "draw_sample",
     "sample_stream",
     "population_eigenvalues",
-    "with_hypothesis",
 ]
 
 # Smallest admissible principal angle between target and clutter bases.
@@ -137,8 +136,3 @@ def population_eigenvalues(sc: Scenario) -> np.ndarray:
         R = R + Qs @ Qs.T
     R = R + sc.noise_std**2 * np.eye(cfg.ambient_dim)
     return np.linalg.eigvalsh(R)[::-1]
-
-
-def with_hypothesis(cfg: ScenarioConfig, target_present: bool) -> ScenarioConfig:
-    """Same geometry and seed, different hypothesis."""
-    return replace(cfg, target_present=target_present)

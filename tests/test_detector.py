@@ -8,6 +8,7 @@ from vcdetect.bounds import tau
 from vcdetect.detector import (
     Decision,
     DetectorConfig,
+    INV_T_CAP,
     Outcome,
     decide,
     detector_init,
@@ -664,6 +665,18 @@ class TestNoiselessStreaming:
         for _, t, inv_t, _ in state.trajectory:
             assert 0.0 <= t <= 1.0 + 1e-12
             assert inv_t >= 1.0 - 1e-12
+
+    def test_inverse_statistic_capped_just_below_exp_overflow(self):
+        # log T = 30 log(eps) = -709.9 at sample 30: above the -710 guard the
+        # cap once had, but exp(709.9) overflows a float.
+        n, d = 64, 30
+        eps = math.exp(-709.9 / d)
+        state = detector_init(passive_config(SubspaceBasis(np.eye(n)[:, :d]), d))
+        for j in range(d):
+            y = np.zeros(n)
+            y[j], y[d + j] = 1.0, eps
+            ingest(state, y)
+        assert state.trajectory[-1] == (d, 0.0, INV_T_CAP, d)
 
 
 class TestNoiselessBreakpoint:

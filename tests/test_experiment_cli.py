@@ -390,6 +390,22 @@ class TestDetectCli:
         assert "max_samples" in r.stderr
         assert r.stdout == ""
 
+    def test_inverse_statistic_at_cap_exits_0(self, tmp_path):
+        # Sample j is e_j + eps e_{30+j}, so log T reaches -709.9 at sample
+        # 30; exp(709.9) overflowed and the command exited 1 with a traceback.
+        n, d = 64, 30
+        eye = np.eye(n)
+        samples, basis = tmp_path / "samples.csv", tmp_path / "basis.csv"
+        rows = eye[:d] + math.exp(-709.9 / d) * eye[d : 2 * d]
+        samples.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        basis.write_text("".join(",".join(map(repr, row)) + "\n" for row in eye[:, :d].tolist()))
+        r = run_cli(
+            "detect", "--samples", str(samples), "--target-basis", str(basis),
+            "--sigma2", "0", "--t-div", "1e308", "--stall-patience", "100",
+        )
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["final_inv_T"] == 1e308
+
     def test_ragged_rows_rejected(self, tmp_path):
         samples, basis, _, _ = self.make_files(tmp_path)
         with open(samples, "a") as fh:
@@ -442,12 +458,15 @@ class TestBoundCli:
             ("--d2", "-3", "target_dim"),
             ("--sigma2", "nan", "noise_variance"),
             ("--sigma2", "inf", "noise_variance"),
+            ("--eigs", "3,nan", "eigenvalues"),
+            ("--eigs", "inf,2", "eigenvalues"),
         ],
     )
     def test_nonsense_input_exits_2(self, flag, value, name):
-        # Without the checks these printed m_required 1 or 5825, a deviation
-        # bound of 1000, or (nan) a message that did not name delta. The flag
-        # comes last, so it overrides the valid value before it.
+        # Without the checks these printed m_required 1, 5825 or (a NaN
+        # eigenvalue counted as noise) 4251, a deviation bound of 1000, or a
+        # message that did not name delta or the eigenvalues. The flag comes
+        # last, so it overrides the valid value before it.
         r = run_cli(
             "bound", "--hypothesis", "present", "--eigs", "3,2", "--sigma2", "1",
             "--n", "10", "--delta", "0.1", "--eps", "0.5", "--d2", "1", flag, value,

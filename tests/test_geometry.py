@@ -104,6 +104,42 @@ class TestOrthonormalize:
         with pytest.raises(ValueError):
             orthonormalize(np.eye(2), tol=0.0)
 
+    @staticmethod
+    def two_pass_loop(X, tol):
+        """Reference: classical Gram-Schmidt applied twice, written out column by column."""
+        n = X.shape[0]
+        scale = np.linalg.norm(X)
+        cols = []
+        if scale == 0.0:
+            return np.empty((n, 0))
+        for j in range(X.shape[1]):
+            v = X[:, j].copy()
+            for _ in range(2):
+                if cols:
+                    Q = np.column_stack(cols)
+                    v -= Q @ (Q.T @ v)
+            nrm = np.linalg.norm(v)
+            if nrm >= tol * scale:
+                cols.append(v / nrm)
+        return np.column_stack(cols) if cols else np.empty((n, 0))
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8])
+    def test_matches_two_pass_loop_bit_for_bit(self, tol):
+        rng = np.random.default_rng(7)
+        cases = [np.zeros((5, 3))]
+        for n, d in [(2, 1), (2, 2), (7, 3), (64, 30), (256, 25), (1024, 50), (1100, 60)]:
+            X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-5, 5)
+            cases.append(X)
+            if d > 2:
+                dependent, zero = X.copy(), X.copy()
+                dependent[:, -1] = 2.0 * X[:, 0] - X[:, 1]
+                zero[:, d // 2] = 0.0
+                cases += [dependent, zero]
+        for X in cases:
+            got = orthonormalize(X, tol).basis
+            want = self.two_pass_loop(X, tol)
+            assert got.shape == want.shape and np.array_equal(got, want), X.shape
+
 
 class TestVolume:
     def test_identity(self):

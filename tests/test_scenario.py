@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from vcdetect.scenario import (
     make_scenario,
     population_eigenvalues,
     random_subspace,
-    with_hypothesis,
 )
 
 NOISELESS = float("inf")
@@ -77,7 +77,7 @@ class TestMakeScenario:
         cfg = small_config(snr_db=-10.0)
         # sigma^2 = (d1 + d2) * 10^(1) / n under the present hypothesis
         assert cfg.noise_variance == pytest.approx(5 * 10.0 / 16)
-        absent = with_hypothesis(cfg, False)
+        absent = dataclasses.replace(cfg, target_present=False)
         assert absent.noise_variance == pytest.approx(3 * 10.0 / 16)
 
     def test_deterministic(self):
