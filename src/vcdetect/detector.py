@@ -1,12 +1,7 @@
 """Volume-correlation subspace detector.
 
-Two regimes are implemented:
-
-* ``noiseless_breakpoint`` -- accumulate noiseless samples and watch the
-  volume of the parallelotope spanned by the samples together with the known
-  target basis. The first sample count at which that volume vanishes is the
-  breakpoint (d1 + 1); whether the samples alone still span a full-volume
-  parallelotope there decides the hypothesis.
+Both regimes watch one quantity, the stacked volume Vol([Q_y, Q_s]) of the
+sample span and the known target basis Q_s, on one streaming state:
 
 * the streaming detector (``detector_init`` / ``ingest`` / ``run_stream``)
   -- track the spectrum of the running sample covariance, estimate the signal
@@ -16,6 +11,11 @@ Two regimes are implemented:
 
   where Q_hat_i spans the top eigenvectors. 1/T diverges when the target is
   present and levels off at a finite value otherwise.
+
+* ``noiseless_breakpoint`` -- take each noiseless sample through the same
+  checked Gram-Schmidt step. The first sample count at which the samples
+  alone, or the samples stacked with Q_s, lose volume in one step is the
+  breakpoint (d1 + 1), and which of the two collapses decides the hypothesis.
 
 One spectral state serves every sample count i. Q holds, as orthonormal
 rows, the r <= n directions the samples span; each sample takes one
@@ -212,14 +212,20 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
     return max(0, min(k, cap))
 
 
-def _append_sample(state: DetectorState, vec: np.ndarray) -> None:
-    """Fold one sample into Q, X, M and the off-span part of Q_s.
+def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
+    """Check one sample and fold it into Q, X, M and the off-span part of Q_s.
 
     One two-pass Gram-Schmidt step gives the sample's coefficients u in Q
     and, unless the residual is negligible, a new direction of Q, which must
     be orthogonal to the stored ones; u then gains the residual norm. M, with
-    a zero row and column for a new direction, gains u u^T.
+    a zero row and column for a new direction, gains u u^T. The sample count
+    moves only once every buffer is written. Returns the residual norm.
     """
+    n, i = state.config.target_basis.ambient_dim, state.sample_count + 1
+    if vec.shape != (n,):
+        raise ValueError(f"sample length {vec.shape} does not match ambient dim {n}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"sample {i} has a non-finite entry")
     r = state._rank
     u, resid = gram_schmidt_step(state._q[:r], vec)
     rho = float(np.linalg.norm(resid))
@@ -239,6 +245,8 @@ def _append_sample(state: DetectorState, vec: np.ndarray) -> None:
         u = np.append(u, rho)
         r = state._rank = r + 1
     state._m[:r, :r] += np.outer(u, u)
+    state.sample_count = i
+    return rho
 
 
 def ingest(state: DetectorState, y) -> DetectorState:
@@ -255,19 +263,11 @@ def ingest(state: DetectorState, y) -> DetectorState:
     """
     if state.decision.variant is not Outcome.UNDECIDED:
         raise RuntimeError("cannot ingest after a decision was reached")
-    vec = np.asarray(y, dtype=float)
     cfg = state.config
     n, d2 = cfg.target_basis.ambient_dim, cfg.target_basis.dim
-    i = state.sample_count + 1
-    if vec.shape != (n,):
-        raise ValueError(f"sample length {vec.shape} does not match ambient dim {n}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"sample {i} has a non-finite entry")
-
     was_full = state.estimated_rank == state._rank
-    _append_sample(state, vec)
-    state.sample_count = i
-    r = state._rank
+    _append_sample(state, np.asarray(y, dtype=float))
+    i, r = state.sample_count, state._rank
     m = state._m[:r, :r]
     full = was_full and r < n and cfg.noise_variance_hint is not None
     if full:
@@ -294,7 +294,7 @@ def ingest(state: DetectorState, y) -> DetectorState:
     else:
         off = state._off if k == r else np.vstack([state._off, V[:, k:].T @ state._x[:r]])
         log_t = residual_log_volume(off)
-    t = math.exp(log_t) if log_t > -700 else 0.0
+    t = math.exp(log_t)
     # exp overflows from -log_t ~ 709.78 on; exp(709.7) already exceeds the cap.
     inv_t = min(math.exp(-log_t), INV_T_CAP) if log_t > -709.7 else INV_T_CAP
     state.trajectory.append((i, t, inv_t, k))
@@ -339,42 +339,36 @@ def noiseless_breakpoint(
     samples,
     tol: float = 1e-8,
 ) -> tuple[int | None, bool | None]:
-    """Breakpoint search for the noiseless regime.
+    """Breakpoint search for the noiseless regime, on the detector's state.
 
-    Keeps orthonormal rows for the sample directions and for [Q_s, sample
-    directions], so each sample costs two Gram-Schmidt steps. The breakpoint
-    m is the first sample that adds no direction to one of them, and it
-    decides the hypothesis:
+    Each sample takes the streaming detector's checked Gram-Schmidt step. The
+    breakpoint m is the first sample that adds no direction to Q or to
+    [Q, Q_s], and it decides the hypothesis:
 
-    * its residual off the sample directions is at most ``tol * ||y||``: the
-      samples alone lose rank, so the target is absent -> ``(m, False)``;
-    * its new unit direction has a residual off [Q_s, sample directions] of
-      at most ``tol``: the stacked volume Vol([Q_y, Q_s]) vanishes while the
-      samples keep full rank, so the target is present -> ``(m, True)``.
+    * its residual off Q is at most ``tol * ||y||``: the samples alone lose
+      rank, so the target is absent -> ``(m, False)``;
+    * its new unit direction q has a residual off [Q, Q_s] of at most
+      ``tol``: the stacked volume Vol([Q_y, Q_s]) vanishes while the samples
+      keep full rank, so the target is present -> ``(m, True)``. As q is
+      orthogonal to Q, that residual is Vol([Q, q, Q_s]) / Vol([Q, Q_s]), the
+      ratio of the volumes of the off-span part of Q_s after and before the
+      step, so the test reads the drop of its log-volume against log(tol).
 
     Both tests are relative to one step, so neither depends on the scale of
     the samples or on how many came before. ``(None, None)`` if the stream
     ends first.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    sample_dirs = np.empty((0, target_basis.ambient_dim))
-    stacked_dirs = target_basis.basis.T
+    state = detector_init(DetectorConfig(target_basis))
+    log_vol = 0.0  # log Vol(Q_s), Q_s orthonormal
     for m, y in enumerate(samples, start=1):
         vec = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"sample {m} has a non-finite entry")
-        _, r = gram_schmidt_step(sample_dirs, vec)
-        r_norm = np.linalg.norm(r)
-        if r_norm <= tol * np.linalg.norm(vec):
+        if _append_sample(state, vec) <= tol * np.linalg.norm(vec):
             return m, False
-        q = r / r_norm
-        _, s = gram_schmidt_step(stacked_dirs, q)
-        factor = np.linalg.norm(s)
-        if factor <= tol:
+        prev, log_vol = log_vol, residual_log_volume(state._off)
+        if log_vol - prev <= math.log(tol):
             return m, True
-        sample_dirs = np.vstack([sample_dirs, q])
-        stacked_dirs = np.vstack([stacked_dirs, s / factor])
     return None, None
 
 

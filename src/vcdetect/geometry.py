@@ -74,7 +74,7 @@ def orthonormalize(X, tol: float = 1e-8) -> SubspaceBasis:
     ``tol * ||X||_F``, so the resulting dimension is the numerical rank of
     ``X`` at ``tol``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     X = _as_matrix(X)
     scale = np.linalg.norm(X)

@@ -676,7 +676,24 @@ class TestNoiselessStreaming:
             y = np.zeros(n)
             y[j], y[d + j] = 1.0, eps
             ingest(state, y)
-        assert state.trajectory[-1] == (d, 0.0, INV_T_CAP, d)
+        i, t, inv_t, k = state.trajectory[-1]
+        assert (i, inv_t, k) == (d, INV_T_CAP, d)
+        # T itself is exp(log T), a subnormal float rather than 0.0.
+        assert t == pytest.approx(math.exp(-709.9), rel=1e-9, abs=0.0)
+
+    def test_statistic_and_inverse_agree_below_exp_underflow_guard(self):
+        # log T = -705 at sample 30, where exp(log T) is still a normal float:
+        # T and the uncapped 1/T = 1.505e306 on that row must be reciprocals.
+        n, d = 64, 30
+        eps = math.exp(-705.0 / d)
+        state = detector_init(passive_config(SubspaceBasis(np.eye(n)[:, :d]), d))
+        for j in range(d):
+            y = np.zeros(n)
+            y[j], y[d + j] = 1.0, eps
+            ingest(state, y)
+        i, t, inv_t, k = state.trajectory[-1]
+        assert (i, k) == (d, d) and inv_t < INV_T_CAP
+        assert t * inv_t == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNoiselessBreakpoint:
@@ -732,6 +749,54 @@ class TestNoiselessBreakpoint:
         )
         assert (m, present) == (None, None)
 
+    def test_nan_tol_rejected(self):
+        # NaN fails every comparison, so a "tol <= 0" test alone lets it through.
+        sc = noiseless_scenario(16, 3, 1, True, 80)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            noiseless_breakpoint(sc.target_basis, sample_stream(sc, np.random.default_rng(81), 6),
+                                 tol=math.nan)
+
+    def test_sample_of_wrong_length_rejected(self):
+        sc = noiseless_scenario(16, 3, 1, True, 80)
+        ys = list(sample_stream(sc, np.random.default_rng(81), 3)) + [np.ones(15)]
+        with pytest.raises(ValueError, match="does not match ambient dim 16"):
+            noiseless_breakpoint(sc.target_basis, ys)
+
+    @staticmethod
+    def unit_off(span, rng):
+        """A random unit vector orthogonal to the columns of ``span``."""
+        q = np.linalg.qr(span)[0]
+        w = rng.standard_normal(span.shape[0])
+        w -= q @ (q.T @ w)
+        return w / np.linalg.norm(w)
+
+    @pytest.mark.parametrize("part,want", [(1e-10, (4, False)), (1e-6, (None, None))])
+    def test_absent_near_tolerance(self, part, want):
+        # Sample 4 is a mix of the first three plus a part off their span of
+        # `part` times its norm: below tol = 1e-8 it adds no direction.
+        sc = noiseless_scenario(48, 6, 2, False, 90)
+        rng = np.random.default_rng(91)
+        ys = list(sample_stream(sc, rng, 3))
+        y = np.column_stack(ys) @ rng.standard_normal(3)
+        y += part * np.linalg.norm(y) * self.unit_off(np.column_stack(ys), rng)
+        assert noiseless_breakpoint(sc.target_basis, ys + [y]) == want
+
+    @pytest.mark.parametrize("part,want", [(1e-10, (7, True)), (1e-7, (None, None))])
+    def test_present_near_tolerance(self, part, want):
+        # Sample 7 adds a unit direction of the clutter-plus-target span, tilted
+        # off that span by `part`: the residual of its new direction off
+        # [Q, Q_s], which the drop of the stacked log-volume measures, is `part`.
+        sc = noiseless_scenario(48, 6, 2, True, 92)
+        rng = np.random.default_rng(93)
+        ys = list(sample_stream(sc, rng, 6))
+        joint = np.column_stack([sc.clutter_basis.basis, sc.target_basis.basis])
+        p = joint @ rng.standard_normal(8)
+        q = np.linalg.qr(np.column_stack(ys))[0]
+        p -= q @ (q.T @ p)
+        y = np.column_stack(ys) @ rng.standard_normal(6) + p / np.linalg.norm(p)
+        y += part * self.unit_off(joint, rng)
+        assert noiseless_breakpoint(sc.target_basis, ys + [y]) == want
+
 
 class TestNoisyAsymptotics:
     def test_high_snr_classification(self):
@@ -755,6 +820,91 @@ class TestNoisyAsymptotics:
                 dec, _ = run_stream(cfg, sample_stream(sc, rng, 500))
                 hits += dec.variant is want
             assert hits >= 0.9 * trials
+
+
+class TestInvariance:
+    """The trajectory depends only on the sample span's geometry against span(Q_s).
+
+    Four changes must leave every row's k_i and 1/T as they were: an ambient
+    rotation of the samples and Q_s together, a re-basing of Q_s, a scaling
+    of the samples with the hint scaled by the square, and a permutation of
+    the first n samples (compared from row n on). Each runs under the hint
+    rule, the gap rule and the noiseless regime (sigma = 0, hint 0).
+    """
+
+    N, D1, D2, SNR_DB, SEEDS = 48, 6, 3, -5.0, range(6)
+    # Fixed before the suite was first run: the perfbench reference's 1/T
+    # tolerance, and the distance from the cut within which a k mismatch is
+    # a tie of rounding, reported rather than failed.
+    INV_T_RTOL, CUT_RTOL = 1e-9, 1e-12
+
+    def streams(self, regime):
+        """(Q_s, samples, hint) for each seed: 2n samples, both hypotheses."""
+        snr_db = NOISELESS if regime == "noiseless" else self.SNR_DB
+        for seed in self.SEEDS:
+            sc = make_scenario(ScenarioConfig(self.N, self.D1, self.D2, snr_db, seed % 2 == 0, seed))
+            ys = np.array(list(sample_stream(sc, np.random.default_rng(seed + 100), 2 * self.N)))
+            hint = {"hint": sc.noise_std**2, "gap": None, "noiseless": 0.0}[regime]
+            yield sc.target_basis.basis, ys, hint
+
+    @staticmethod
+    def trajectory(Qs, ys, hint):
+        cfg = replace(passive_config(SubspaceBasis(Qs), len(ys)), noise_variance_hint=hint)
+        state = detector_init(cfg)
+        for y in ys:
+            ingest(state, y)
+        return cfg, state.trajectory
+
+    def near_cut(self, cfg, ys, i):
+        """Whether the rank rule's cut at sample i is a tie to CUT_RTOL: an
+        eigenvalue that close to the hint rule's threshold, or, under the gap
+        rule, a runner-up gap ratio that close to the largest."""
+        lam = np.maximum(np.linalg.eigvalsh(ys[:i].T @ ys[:i] / i)[::-1], 0.0)
+        floor = 1e-10 * lam[0]
+        if cfg.noise_variance_hint is not None:
+            level = max(cfg.rank_gap_factor * cfg.noise_variance_hint, floor)
+            return bool(np.any(np.abs(lam - level) <= self.CUT_RTOL * level))
+        head = lam[: min(i - 1, self.N - 1)]
+        ratios = np.sort(head[head > floor] / np.maximum(lam[1 : head.size + 1], floor)[head > floor])
+        return ratios.size > 1 and ratios[-1] - ratios[-2] <= self.CUT_RTOL * ratios[-1]
+
+    def changed(self, change, Qs, ys, hint):
+        """(Q_s, samples, hint, first compared row) after one change."""
+        rng = np.random.default_rng(7)
+        if change == "rotate":
+            R = np.linalg.qr(rng.standard_normal((self.N, self.N)))[0]
+            return R @ Qs, ys @ R.T, hint, 0
+        if change == "rebase":
+            return Qs @ np.linalg.qr(rng.standard_normal((self.D2, self.D2)))[0], ys, hint, 0
+        if change == "scale":
+            return Qs, 7.0 * ys, None if hint is None else 49.0 * hint, 0
+        perm = np.concatenate([rng.permutation(self.N), np.arange(self.N, len(ys))])
+        return Qs, ys[perm], hint, self.N - 1
+
+    @pytest.mark.parametrize("change", ["rotate", "rebase", "scale", "permute"])
+    @pytest.mark.parametrize("regime", ["hint", "gap", "noiseless"])
+    def test_trajectory_invariant(self, regime, change):
+        ties = []
+        for Qs, ys, hint in self.streams(regime):
+            cfg, base = self.trajectory(Qs, ys, hint)
+            Qs2, ys2, hint2, start = self.changed(change, Qs, ys, hint)
+            _, other = self.trajectory(Qs2, ys2, hint2)
+            for (i, _, inv_t, k), (i2, _, inv_t2, k2) in zip(base[start:], other[start:]):
+                assert i == i2
+                if k != k2:
+                    assert self.near_cut(cfg, ys, i), f"k_{i} = {k} against {k2} ({change})"
+                    ties.append((i, k, k2))
+                    continue
+                assert inv_t2 == pytest.approx(inv_t, rel=self.INV_T_RTOL), f"row {i} ({change})"
+        if ties:
+            print(f"{regime}/{change}: k mismatches at a tie of the cut (i, k, k'): {ties}")
+
+    @pytest.mark.parametrize("regime", ["hint", "gap", "noiseless"])
+    def test_statistic_times_inverse_is_one_below_cap(self, regime):
+        for Qs, ys, hint in self.streams(regime):
+            for _, t, inv_t, _ in self.trajectory(Qs, ys, hint)[1]:
+                if inv_t < INV_T_CAP:
+                    assert t * inv_t == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTrajectoryCsv:

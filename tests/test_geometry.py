@@ -103,6 +103,9 @@ class TestOrthonormalize:
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
             orthonormalize(np.eye(2), tol=0.0)
+        # NaN fails every comparison, so a "tol <= 0" test alone lets it through.
+        with pytest.raises(ValueError, match="tol must be positive"):
+            orthonormalize(np.eye(2), tol=float("nan"))
 
     @staticmethod
     def two_pass_loop(X, tol):
