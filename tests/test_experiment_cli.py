@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -474,3 +475,110 @@ class TestBoundCli:
         assert r.returncode == 2
         assert name in r.stderr and "Traceback" not in r.stderr
         assert r.stdout == ""
+
+
+BOUND_ARGS = [
+    "bound", "--hypothesis", "present", "--eigs", "3,2", "--sigma2", "1",
+    "--n", "10", "--delta", "0.1", "--eps", "0.5", "--d2", "1",
+]
+
+
+class TestBlasThreads:
+    """The CLI runs each subcommand at one OpenBLAS thread, unless the
+    environment sets a count, and leaves the caller's count as it found it."""
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """The real (get, set) pair, with the count at 2 for the test."""
+        for var in cli._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        found = cli._openblas_threads()
+        if found is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread functions")
+        get, put = found
+        original = get()
+        # 2, not the default, so that a missing restore shows on one core too.
+        put(2)
+        yield get
+        put(original)
+
+    def test_output_does_not_depend_on_thread_count(self, tmp_path):
+        # perfbench's full_sim geometry at seed 0. Before the CLI pinned one
+        # thread, the default count changed 22 of the 400 rows in the last
+        # digits on a 2-core machine. On one core both runs use one thread.
+        doc = {
+            "scenario": {"n": 1024, "d1": 40, "d2": 10, "snr_db": -10.0, "seed": 20240801},
+            "trials": 1,
+            "max_samples": 200,
+            "detector": {
+                "use_noise_hint": True,
+                "rank_gap_factor": 2.0,
+                "divergence_threshold": 1e308,
+                "stall_epsilon": 0.016,
+                "stall_patience": 200,
+            },
+        }
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+        outs = []
+        for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            out = tmp_path / f"run{len(outs)}.csv"
+            r = subprocess.run(
+                [sys.executable, "-m", "vcdetect", "simulate", "--config", str(config),
+                 "--seed", "0", "--out", str(out)],
+                capture_output=True, text=True, env={**env, **extra},
+            )
+            assert r.returncode == 0, r.stderr
+            outs.append(out.read_bytes())
+        assert outs[0].count(b"\n") == 401
+        assert outs[0] == outs[1]
+
+    def test_subcommand_runs_at_one_thread(self, threads, monkeypatch, capsys):
+        seen = []
+
+        def spy(args):
+            seen.append(threads())
+            return cli.EXIT_OK
+
+        monkeypatch.setattr(cli, "_cmd_bound", spy)
+        assert cli.main(BOUND_ARGS) == 0
+        assert seen == [1]
+        assert threads() == 2
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (BOUND_ARGS, 0),
+            (["simulate", "--config", "/nonexistent/cfg.json"], 2),
+            (["simulate"], None),  # argparse's SystemExit: --config is missing
+        ],
+    )
+    def test_count_restored(self, threads, capsys, argv, code):
+        if code is None:
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == code
+        assert threads() == 2
+
+    def test_count_restored_after_unexpected_error(self, threads, monkeypatch, capsys):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_bound", boom)
+        with pytest.raises(RuntimeError):
+            cli.main(BOUND_ARGS)
+        assert threads() == 2
+
+    @pytest.mark.parametrize("var", [None, *cli._THREAD_VARS])
+    def test_thread_variable_leaves_blas_alone(self, monkeypatch, capsys, var):
+        # A stand-in for the library, so that this runs on any BLAS.
+        calls = []
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: (lambda: 3, calls.append))
+        for name in cli._THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        if var is not None:
+            monkeypatch.setenv(var, "2")
+        assert cli.main(BOUND_ARGS) == 0
+        assert calls == ([] if var else [1, 3])
