@@ -35,6 +35,7 @@ The statistic is computed in the log domain; 1/T is capped at 1e308.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -212,6 +213,16 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
     return max(0, min(k, cap))
 
 
+def _coefficients(state: DetectorState, vec: np.ndarray):
+    """A sample's coefficients u in Q, residual and residual norm, by one
+    Gram-Schmidt step. u ends with the norm when the sample adds a direction."""
+    u, resid = gram_schmidt_step(state._q[: state._rank], vec)
+    rho = float(np.linalg.norm(resid))
+    if rho > _DEPENDENT_TOL * np.linalg.norm(vec):
+        u = np.append(u, rho)
+    return u, resid, rho
+
+
 def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
     """Check one sample and fold it into Q, X, M and the off-span part of Q_s.
 
@@ -227,9 +238,8 @@ def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"sample {i} has a non-finite entry")
     r = state._rank
-    u, resid = gram_schmidt_step(state._q[:r], vec)
-    rho = float(np.linalg.norm(resid))
-    if rho > _DEPENDENT_TOL * np.linalg.norm(vec):
+    u, resid, rho = _coefficients(state, vec)
+    if u.size > r:
         q = resid / rho
         if np.max(np.abs(state._q[:r] @ q), initial=0.0) > _ORTHO_TOL:
             raise ValueError("stored sample directions are not orthonormal")
@@ -242,7 +252,6 @@ def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
         x = q @ state.config.target_basis.basis
         state._q[r], state._x[r] = q, x
         state._off -= np.outer(q, x)
-        u = np.append(u, rho)
         r = state._rank = r + 1
     state._m[:r, :r] += np.outer(u, u)
     state.sample_count = i
@@ -261,6 +270,11 @@ def ingest(state: DetectorState, y) -> DetectorState:
     t = max(gamma sigma^2, 1e-10 tr(M) / i) is at least the rule's threshold, as
     tr(M) / i >= lambda_max. Otherwise ``eigh`` gives the spectrum and V_k.
     """
+    return _ingest(state, y, None)
+
+
+def _ingest(state: DetectorState, y, eigh) -> DetectorState:
+    """``ingest``, taking the spectrum from ``eigh(M)`` when it is given."""
     if state.decision.variant is not Outcome.UNDECIDED:
         raise RuntimeError("cannot ingest after a decision was reached")
     cfg = state.config
@@ -279,7 +293,7 @@ def ingest(state: DetectorState, y) -> DetectorState:
     if full:
         k, V = r, None
     else:
-        w, V = np.linalg.eigh(m)
+        w, V = (eigh or np.linalg.eigh)(m)
         k = estimate_rank(np.concatenate([np.maximum(w[::-1] / i, 0.0), np.zeros(n - r)]), cfg, i)
         V = V[:, ::-1]
         if np.max(np.abs(V[:, :k].T @ V[:, :k] - np.eye(k)), initial=0.0) > _ORTHO_TOL:
@@ -323,15 +337,113 @@ def decide(state: DetectorState) -> Decision:
 
 
 def run_stream(cfg: DetectorConfig, samples) -> tuple[Decision, list]:
-    """Ingest samples until a decision is reached or the budget runs out."""
+    """Ingest samples until a decision is reached or the budget runs out.
+
+    ``ingest`` is the strictly online API, and any iterable is read here one
+    sample at a time, as it takes them. A 2-D array, while OpenBLAS runs one
+    thread, is read one row ahead: a step that computes a spectrum with no
+    read-ahead result in hand builds the next row's scatter matrix M and
+    starts its ``eigh`` on a worker thread before it runs its own. LAPACK
+    releases the GIL, so the two calls run on two cores. The next step takes
+    that result only if its own M equals the one read ahead bit for bit, so
+    every output is the one-at-a-time loop's. At most one call is in flight,
+    and the worker is gone when this returns or raises. No row at or past
+    ``max_samples`` is read, and a row read ahead is checked only at its own
+    step: a NaN in the row after the deciding one changes nothing.
+    """
     state = detector_init(cfg)
-    for y in samples:
-        ingest(state, y)
-        if state.decision.variant is not Outcome.UNDECIDED:
-            break
-        if state.sample_count >= cfg.max_samples:
-            break
+    step, ahead = ingest, None
+    threads = isinstance(samples, np.ndarray) and samples.ndim == 2 and _openblas_threads()
+    if threads and threads[0]() == 1:
+        samples = samples[: cfg.max_samples]
+        ahead = _ReadAhead(state, samples)
+        step = functools.partial(_ingest, eigh=ahead.eigh)
+    try:
+        for y in samples:
+            step(state, y)
+            if state.decision.variant is not Outcome.UNDECIDED:
+                break
+            if state.sample_count >= cfg.max_samples:
+                break
+    finally:
+        if ahead is not None:
+            ahead.close()
     return state.decision, state.trajectory
+
+
+class _ReadAhead:
+    """``run_stream``'s read-ahead over the rows of one state's stream."""
+
+    def __init__(self, state: DetectorState, rows: np.ndarray):
+        self.state, self.rows = state, rows
+        self.pool = None
+        # (the next step's M as read ahead, the future of its eigh), or None.
+        self.pending = None
+
+    def eigh(self, m: np.ndarray):
+        if self.pending is not None:
+            (ahead, future), self.pending = self.pending, None
+            if np.array_equal(ahead, m):
+                return future.result()
+            future.exception()  # a dropped call ends before the next starts
+        ahead = self._next_scatter()
+        if ahead is not None:
+            if self.pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+
+                self.pool = ThreadPoolExecutor(max_workers=1)
+            self.pending = ahead, self.pool.submit(np.linalg.eigh, ahead)
+        return np.linalg.eigh(m)
+
+    def _next_scatter(self) -> np.ndarray | None:
+        """The scatter M the next row would give, or None: no next row, or a
+        non-finite one, which ``_append_sample`` rejects at its own step. So
+        no non-finite matrix reaches LAPACK, and a bad row warns or raises only
+        where the one-at-a-time loop would."""
+        state = self.state
+        if state.sample_count >= len(self.rows):
+            return None
+        vec = np.asarray(self.rows[state.sample_count], dtype=float)
+        if not np.all(np.isfinite(vec)):
+            return None
+        u, _, _ = _coefficients(state, vec)
+        r = state._rank
+        m = np.zeros((u.size, u.size))
+        m[:r, :r] = state._m[:r, :r]
+        return m + np.outer(u, u)
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(wait=True, cancel_futures=True)
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS numpy loaded, or None.
+
+    None where no loaded library exports the OpenBLAS thread functions:
+    another BLAS, or a system without ``/proc/self/maps``.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
 
 
 def noiseless_breakpoint(

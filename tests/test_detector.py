@@ -1,9 +1,11 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vcdetect import detector
 from vcdetect.bounds import tau
 from vcdetect.detector import (
     Decision,
@@ -905,6 +907,190 @@ class TestInvariance:
             for _, t, inv_t, _ in self.trajectory(Qs, ys, hint)[1]:
                 if inv_t < INV_T_CAP:
                     assert t * inv_t == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread setter, at one thread; the count is put back after the test."""
+    found = detector._openblas_threads()
+    if found is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread functions")
+    get, put = found
+    original = get()
+    put(1)
+    yield put
+    put(original)
+
+
+class TestReadAhead:
+    """``run_stream`` on a 2-D array reads one row ahead at one OpenBLAS thread,
+    and gives the one-at-a-time loop's decision and trajectory, bit for bit."""
+
+    N = 48
+
+    def hint_stream(self, snr_db=-5.0, present=True, seed=600):
+        sc = make_scenario(ScenarioConfig(self.N, 6, 3, snr_db, present, seed))
+        ys = np.array(list(sample_stream(sc, np.random.default_rng(seed), 2 * self.N)))
+        cfg = replace(passive_config(sc.target_basis, len(ys)), noise_variance_hint=sc.noise_std**2)
+        return cfg, ys
+
+    def tiny_then_repeat(self):
+        # test_eigenvectors_only_when_cut_drops_below_rank's stream, with the
+        # tiny sample twice: steps 1 and 2 (k = 0 < r = 1) share one pair of
+        # eigh calls, and step 3 (k = r) reads step 4 ahead. Step 4 takes the
+        # Cholesky test, so the next step with a spectrum drops that result.
+        n = 16
+        rng = np.random.default_rng(538)
+        target = orthonormalize(rng.standard_normal((n, 2)), tol=1e-12)
+        ys = np.array([rng.standard_normal(n) for _ in range(3 * n)])
+        ys[0], ys[1], ys[2] = 1e-3 * ys[2], 1e-3 * ys[2], 10.0 * ys[2]
+        return replace(passive_config(target, len(ys)), noise_variance_hint=0.05), ys
+
+    def decides_present(self, row):
+        """The 0 dB stream with a threshold that 1/T first crosses at 0-based ``row``."""
+        cfg, ys = self.hint_stream(snr_db=0.0)
+        inv_t = [t[2] for t in run_stream(cfg, iter(ys))[1]]
+        assert inv_t[row] > max(inv_t[:row])
+        return replace(cfg, divergence_threshold=max(inv_t[:row])), ys
+
+    def streams(self):
+        cfg, ys = self.hint_stream()
+        yield "hint", cfg, ys
+        yield "tiny_then_repeat", *self.tiny_then_repeat()
+        yield "gap", replace(cfg, noise_variance_hint=None), ys
+        sc = noiseless_scenario(self.N, 6, 3, True, 601)
+        ys = np.array(list(sample_stream(sc, np.random.default_rng(601), 2 * self.N)))
+        yield "noiseless", passive_config(sc.target_basis, len(ys)), ys
+        yield "present", *self.decides_present(59)
+        sc = make_scenario(ScenarioConfig(self.N, 6, 3, -5.0, False, 610))
+        ys = np.array(list(sample_stream(sc, np.random.default_rng(0), 2 * self.N)))
+        yield "absent", DetectorConfig(sc.target_basis, sc.noise_std**2, stall_epsilon=0.02,
+                                       stall_patience=10, max_samples=len(ys)), ys
+
+    @staticmethod
+    def counted_eigh(monkeypatch):
+        """Record, per np.linalg.eigh call, whether it ran on the calling thread."""
+        on_caller, eigh = [], np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            on_caller.append(threading.current_thread() is threading.main_thread())
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return on_caller
+
+    def test_same_outputs_as_one_at_a_time(self, blas_threads):
+        outcomes = {}
+        for name, cfg, ys in self.streams():
+            got = run_stream(cfg, ys)
+            assert got == run_stream(cfg, iter(ys)), name
+            outcomes[name] = got[0]
+        assert outcomes["present"] == Decision(Outcome.TARGET_PRESENT, decided_at=60)
+        assert outcomes["absent"].variant is Outcome.TARGET_ABSENT
+        assert outcomes["absent"].decided_at >= self.N
+
+    @pytest.mark.parametrize("stream", ["hint", "tiny_then_repeat"])
+    def test_each_spectrum_computed_once(self, blas_threads, monkeypatch, stream):
+        cfg, ys = self.hint_stream() if stream == "hint" else self.tiny_then_repeat()
+        on_caller = self.counted_eigh(monkeypatch)
+        run_stream(cfg, iter(ys))
+        serial = len(on_caller)
+        assert all(on_caller) and serial > len(ys) // 3
+        on_caller.clear()
+        run_stream(cfg, ys)
+        # About every other spectrum comes from the worker; only a dropped
+        # read-ahead call is extra.
+        assert serial <= len(on_caller) <= serial + 1
+        assert on_caller.count(False) >= serial // 2 - 1
+        if stream == "tiny_then_repeat":
+            assert len(on_caller) == serial + 1
+
+    def test_no_read_ahead_at_two_threads(self, blas_threads, monkeypatch):
+        blas_threads(2)
+        cfg, ys = self.hint_stream()
+        on_caller = self.counted_eigh(monkeypatch)
+        want = run_stream(cfg, iter(ys))
+        serial = list(on_caller)
+        assert run_stream(cfg, ys) == want
+        assert on_caller == serial + serial
+
+    @pytest.mark.parametrize("row", [59, 60])
+    def test_row_after_the_decision_is_not_checked(self, blas_threads, row):
+        # Two deciding rows one apart, so that one of the two deciding steps
+        # reads its next row ahead, whichever steps take a read-ahead result.
+        cfg, ys = self.decides_present(row)
+        ys[row + 1] = np.nan
+        got = run_stream(cfg, ys)
+        assert got == run_stream(cfg, iter(ys))
+        assert got[0].decided_at == row + 1
+
+    @pytest.mark.parametrize("row", [60, 61])
+    def test_non_finite_row_raises_at_its_own_step(self, blas_threads, row):
+        cfg, ys = self.hint_stream()
+        ys[row] = np.inf
+        messages = []
+        for samples in (iter(ys), ys):
+            with pytest.raises(ValueError) as err:
+                run_stream(cfg, samples)
+            messages.append(str(err.value))
+        assert messages == [f"sample {row + 1} has a non-finite entry"] * 2
+
+    @pytest.mark.parametrize("budget", [70, 71])
+    def test_no_row_read_past_the_budget(self, blas_threads, monkeypatch, budget):
+        # Two budgets one apart, so that one of the two last steps would read
+        # ahead if it could; a finite row past the budget would then cost one
+        # more eigh call, and a non-finite one must not raise.
+        cfg, ys = self.hint_stream()
+        cfg = replace(cfg, max_samples=budget)
+        on_caller = self.counted_eigh(monkeypatch)
+        want = run_stream(cfg, iter(ys))
+        serial = len(on_caller)
+        on_caller.clear()
+        assert run_stream(cfg, ys) == want
+        assert len(on_caller) == serial
+        ys[budget] = np.nan
+        assert run_stream(cfg, ys) == want
+        assert len(want[1]) == budget
+
+    def test_worker_gone_after_return(self, blas_threads, monkeypatch):
+        cfg, ys = self.hint_stream()
+        before, seen = threading.active_count(), []
+        rank = detector.estimate_rank
+
+        def spy(*args):
+            seen.append(threading.active_count())
+            return rank(*args)
+
+        monkeypatch.setattr(detector, "estimate_rank", spy)
+        run_stream(cfg, ys)
+        assert max(seen) == before + 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("at", [6, 7])
+    def test_worker_gone_after_raise(self, blas_threads, monkeypatch, at):
+        # The gap rule computes a spectrum at every step, so a row is read
+        # ahead at every other one. A direction tilted after step ``at`` makes
+        # the next step raise, with or without a read-ahead call in flight.
+        cfg, ys = self.hint_stream()
+        cfg = replace(cfg, noise_variance_hint=None)
+        states, init, rank = [], detector.detector_init, detector.estimate_rank
+
+        def keep(cfg):
+            states.append(init(cfg))
+            return states[-1]
+
+        def tilt(lam, cfg, i):
+            if i == at:
+                states[0]._q[2] += 1e-3 * states[0]._q[4]
+            return rank(lam, cfg, i)
+
+        monkeypatch.setattr(detector, "detector_init", keep)
+        monkeypatch.setattr(detector, "estimate_rank", tilt)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="orthonormal"):
+            run_stream(cfg, ys)
+        assert states[0].sample_count == at
+        assert threading.active_count() == before
 
 
 class TestTrajectoryCsv:

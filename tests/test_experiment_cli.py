@@ -534,6 +534,35 @@ class TestBlasThreads:
         assert outs[0].count(b"\n") == 401
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("count", [None, "2"])
+    def test_detect_trace_matches_library_run(self, threads, tmp_path, count):
+        # detect hands run_stream the whole array, which it reads one row
+        # ahead at one thread (the CLI's count) and not at two. Either way the
+        # trace is the one-at-a-time loop's at the same count.
+        from vcdetect.detector import DetectorConfig, run_stream, write_trajectory_csv
+
+        n = 64
+        samples, basis, sc, rows = TestDetectCli().make_files(
+            tmp_path, n=n, d1=6, d2=3, count=3 * n, noiseless=False)
+        sigma2 = sc.noise_std**2
+        env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+        if count:
+            env["OPENBLAS_NUM_THREADS"] = count
+        r = subprocess.run(
+            [sys.executable, "-m", "vcdetect", "detect", "--samples", str(samples),
+             "--target-basis", str(basis), "--sigma2", repr(sigma2), "--t-div", "1e308",
+             "--stall-patience", str(3 * n), "--trace", str(tmp_path / "cli.csv")],
+            capture_output=True, text=True, env=env,
+        )
+        assert r.returncode == 0, r.stderr
+        cli._openblas_threads()[1](int(count or 1))
+        cfg = DetectorConfig(sc.target_basis, sigma2, divergence_threshold=1e308,
+                             stall_patience=3 * n, max_samples=3 * n)
+        decision, trajectory = run_stream(cfg, iter(rows))
+        write_trajectory_csv(trajectory, decision, tmp_path / "lib.csv")
+        assert len(trajectory) == 3 * n
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
     def test_subcommand_runs_at_one_thread(self, threads, monkeypatch, capsys):
         seen = []
 
