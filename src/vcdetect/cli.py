@@ -12,12 +12,13 @@ also makes the output independent of the machine's core count. Where
 the environment set it. Library calls (``run_stream``, ``run_experiment``)
 never change the count.
 
-``detect`` hands ``run_stream`` the whole sample array, so at one thread it
-reads one row ahead and keeps at most two one-thread LAPACK calls in flight,
-one on each of two cores (see ``run_stream``); the trace is the one-at-a-time
-loop's, byte for byte. Two ``detect`` runs of the ``long_detect`` benchmark
-inputs started together on a 2-core machine took 2.9 to 3.5 s each this way,
-against 2.7 to 3.7 s one call at a time.
+``detect`` hands ``run_stream`` the whole sample array, so at one thread,
+with w >= 2 CPUs in the process's affinity mask, it reads up to w rows ahead
+and keeps up to w one-thread LAPACK calls in flight on a pool of w threads,
+w at most 2 (see ``run_stream``); with one CPU it runs one call at a time.
+The trace is the one-at-a-time loop's, byte for byte. Two ``detect`` runs of
+the ``long_detect`` benchmark inputs started together on a 2-core machine
+took 3.0 to 3.7 s each this way.
 """
 
 from __future__ import annotations

@@ -34,10 +34,12 @@ The statistic is computed in the log domain; 1/T is capped at 1e308.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,16 +215,6 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
     return max(0, min(k, cap))
 
 
-def _coefficients(state: DetectorState, vec: np.ndarray):
-    """A sample's coefficients u in Q, residual and residual norm, by one
-    Gram-Schmidt step. u ends with the norm when the sample adds a direction."""
-    u, resid = gram_schmidt_step(state._q[: state._rank], vec)
-    rho = float(np.linalg.norm(resid))
-    if rho > _DEPENDENT_TOL * np.linalg.norm(vec):
-        u = np.append(u, rho)
-    return u, resid, rho
-
-
 def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
     """Check one sample and fold it into Q, X, M and the off-span part of Q_s.
 
@@ -238,8 +230,9 @@ def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"sample {i} has a non-finite entry")
     r = state._rank
-    u, resid, rho = _coefficients(state, vec)
-    if u.size > r:
+    u, resid = gram_schmidt_step(state._q[:r], vec)
+    rho = float(np.linalg.norm(resid))
+    if rho > _DEPENDENT_TOL * np.linalg.norm(vec):
         q = resid / rho
         if np.max(np.abs(state._q[:r] @ q), initial=0.0) > _ORTHO_TOL:
             raise ValueError("stored sample directions are not orthonormal")
@@ -252,6 +245,7 @@ def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
         x = q @ state.config.target_basis.basis
         state._q[r], state._x[r] = q, x
         state._off -= np.outer(q, x)
+        u = np.append(u, rho)
         r = state._rank = r + 1
     state._m[:r, :r] += np.outer(u, u)
     state.sample_count = i
@@ -341,23 +335,26 @@ def run_stream(cfg: DetectorConfig, samples) -> tuple[Decision, list]:
 
     ``ingest`` is the strictly online API, and any iterable is read here one
     sample at a time, as it takes them. A 2-D array, while OpenBLAS runs one
-    thread, is read one row ahead: a step that computes a spectrum with no
-    read-ahead result in hand builds the next row's scatter matrix M and
-    starts its ``eigh`` on a worker thread before it runs its own. LAPACK
-    releases the GIL, so the two calls run on two cores. The next step takes
-    that result only if its own M equals the one read ahead bit for bit, so
-    every output is the one-at-a-time loop's. At most one call is in flight,
-    and the worker is gone when this returns or raises. No row at or past
-    ``max_samples`` is read, and a row read ahead is checked only at its own
-    step: a NaN in the row after the deciding one changes nothing.
+    thread and the process's affinity mask holds w >= 2 CPUs, is also read
+    by a shadow state up to w rows ahead (w at most 2, see ``_pool_width``):
+    it folds each row in with the detector's own update and starts the
+    ``eigh`` of the scatter M it reaches on a pool of w threads. LAPACK
+    releases the GIL, so up to w calls run at once. A step takes a pool
+    result only if its own M equals the shadow's bit for bit, so every
+    output is the one-at-a-time loop's. The pool is gone when this returns
+    or raises. No row at or past ``max_samples`` is read, and a row the
+    shadow cannot fold in (a non-finite entry, or one whose update
+    overflows) ends the read-ahead quietly and is checked at its own step:
+    a NaN or a 1e200 in a row after the deciding one changes nothing.
     """
     state = detector_init(cfg)
-    step, ahead = ingest, None
-    threads = isinstance(samples, np.ndarray) and samples.ndim == 2 and _openblas_threads()
+    step, pipe = ingest, None
+    width = _pool_width() if isinstance(samples, np.ndarray) and samples.ndim == 2 else 1
+    threads = width >= 2 and _openblas_threads()
     if threads and threads[0]() == 1:
         samples = samples[: cfg.max_samples]
-        ahead = _ReadAhead(state, samples)
-        step = functools.partial(_ingest, eigh=ahead.eigh)
+        pipe = _Pipeline(state, samples, width)
+        step = functools.partial(_ingest, eigh=pipe.eigh)
     try:
         for y in samples:
             step(state, y)
@@ -366,55 +363,62 @@ def run_stream(cfg: DetectorConfig, samples) -> tuple[Decision, list]:
             if state.sample_count >= cfg.max_samples:
                 break
     finally:
-        if ahead is not None:
-            ahead.close()
+        if pipe is not None:
+            pipe.pool.shutdown(wait=True, cancel_futures=True)
     return state.decision, state.trajectory
 
 
-class _ReadAhead:
-    """``run_stream``'s read-ahead over the rows of one state's stream."""
+def _pool_width() -> int:
+    """The CPUs in this process's affinity mask (all CPUs where the OS keeps
+    none), at most 2: the only width timed so far (on a 2-CPU machine), and
+    each call in flight holds an r x r copy of M, 8 MB at n = 1024. A CPU
+    quota (a cgroup's cpu.max) is not detected."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2)
 
-    def __init__(self, state: DetectorState, rows: np.ndarray):
-        self.state, self.rows = state, rows
-        self.pool = None
-        # (the next step's M as read ahead, the future of its eigh), or None.
-        self.pending = None
+
+class _Pipeline:
+    """``run_stream``'s read-ahead: a shadow of ``state`` over ``rows``."""
+
+    def __init__(self, state: DetectorState, rows: np.ndarray, width: int):
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.state, self.rows, self.width = state, rows, width
+        self.shadow = detector_init(state.config)
+        self.pool = ThreadPoolExecutor(max_workers=width)
+        # (sample count, its M as the shadow saw it, the future of its eigh),
+        # in sample order.
+        self.pending = collections.deque()
 
     def eigh(self, m: np.ndarray):
-        if self.pending is not None:
-            (ahead, future), self.pending = self.pending, None
+        """``eigh(m)`` at the consuming state's step i, from the pool when the
+        shadow saw the same M. First the shadow folds in rows up to ``width``
+        past step i and starts the eigh of each step after i. A row that
+        ``_append_sample`` rejects, or whose update overflows, ends the rows
+        with no warning; the consuming state meets it at its own step."""
+        i, shadow = self.state.sample_count, self.shadow
+        with np.errstate(all="raise", under="ignore"):
+            while shadow.sample_count < min(i + self.width, len(self.rows)):
+                try:
+                    _append_sample(shadow, np.asarray(self.rows[shadow.sample_count], dtype=float))
+                except (ValueError, ArithmeticError):
+                    self.rows = self.rows[: shadow.sample_count]
+                    break
+                if shadow.sample_count > i:
+                    ahead = shadow._m[: shadow._rank, : shadow._rank].copy()
+                    self.pending.append((shadow.sample_count, ahead,
+                                         self.pool.submit(np.linalg.eigh, ahead)))
+        while self.pending and self.pending[0][0] < i:
+            self.pending.popleft()[2].cancel()  # a step that took the Cholesky test
+        if self.pending and self.pending[0][0] == i:
+            _, ahead, future = self.pending.popleft()
             if np.array_equal(ahead, m):
                 return future.result()
-            future.exception()  # a dropped call ends before the next starts
-        ahead = self._next_scatter()
-        if ahead is not None:
-            if self.pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self.pool = ThreadPoolExecutor(max_workers=1)
-            self.pending = ahead, self.pool.submit(np.linalg.eigh, ahead)
+            future.cancel()
         return np.linalg.eigh(m)
-
-    def _next_scatter(self) -> np.ndarray | None:
-        """The scatter M the next row would give, or None: no next row, or a
-        non-finite one, which ``_append_sample`` rejects at its own step. So
-        no non-finite matrix reaches LAPACK, and a bad row warns or raises only
-        where the one-at-a-time loop would."""
-        state = self.state
-        if state.sample_count >= len(self.rows):
-            return None
-        vec = np.asarray(self.rows[state.sample_count], dtype=float)
-        if not np.all(np.isfinite(vec)):
-            return None
-        u, _, _ = _coefficients(state, vec)
-        r = state._rank
-        m = np.zeros((u.size, u.size))
-        m[:r, :r] = state._m[:r, :r]
-        return m + np.outer(u, u)
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(wait=True, cancel_futures=True)
 
 
 @functools.cache

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 from dataclasses import replace
 
@@ -923,10 +924,18 @@ def blas_threads():
 
 
 class TestReadAhead:
-    """``run_stream`` on a 2-D array reads one row ahead at one OpenBLAS thread,
-    and gives the one-at-a-time loop's decision and trajectory, bit for bit."""
+    """``run_stream`` on a 2-D array, at one OpenBLAS thread and w >= 2 CPUs,
+    runs a shadow state up to w rows ahead with a pool of w threads, and
+    gives the one-at-a-time loop's decision and trajectory, bit for bit."""
 
     N = 48
+
+    @staticmethod
+    def set_cpus(monkeypatch, cpus):
+        """Make the affinity mask hold ``cpus`` CPUs; return the pool width."""
+        monkeypatch.setattr(detector.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        return detector._pool_width()
 
     def hint_stream(self, snr_db=-5.0, present=True, seed=600):
         sc = make_scenario(ScenarioConfig(self.N, 6, 3, snr_db, present, seed))
@@ -936,9 +945,9 @@ class TestReadAhead:
 
     def tiny_then_repeat(self):
         # test_eigenvectors_only_when_cut_drops_below_rank's stream, with the
-        # tiny sample twice: steps 1 and 2 (k = 0 < r = 1) share one pair of
-        # eigh calls, and step 3 (k = r) reads step 4 ahead. Step 4 takes the
-        # Cholesky test, so the next step with a spectrum drops that result.
+        # tiny sample twice: steps 1 and 2 (k = 0 < r = 1) compute spectra,
+        # and the steps after them take the Cholesky test, so the spectra the
+        # pool started for those steps go unused.
         n = 16
         rng = np.random.default_rng(538)
         target = orthonormalize(rng.standard_normal((n, 2)), tol=1e-12)
@@ -969,128 +978,229 @@ class TestReadAhead:
 
     @staticmethod
     def counted_eigh(monkeypatch):
-        """Record, per np.linalg.eigh call, whether it ran on the calling thread."""
-        on_caller, eigh = [], np.linalg.eigh
+        """Record, per np.linalg.eigh call, whether it ran on the calling
+        thread and the order r of its matrix."""
+        calls, eigh = [], np.linalg.eigh
 
-        def counted(*args, **kwargs):
-            on_caller.append(threading.current_thread() is threading.main_thread())
-            return eigh(*args, **kwargs)
+        def counted(m):
+            calls.append((threading.current_thread() is threading.main_thread(), m.shape[0]))
+            return eigh(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        return on_caller
+        return calls
 
-    def test_same_outputs_as_one_at_a_time(self, blas_threads):
-        outcomes = {}
-        for name, cfg, ys in self.streams():
-            got = run_stream(cfg, ys)
-            assert got == run_stream(cfg, iter(ys)), name
-            outcomes[name] = got[0]
-        assert outcomes["present"] == Decision(Outcome.TARGET_PRESENT, decided_at=60)
-        assert outcomes["absent"].variant is Outcome.TARGET_ABSENT
-        assert outcomes["absent"].decided_at >= self.N
+    @staticmethod
+    def kept_states(monkeypatch):
+        """Record each state ``run_stream`` makes: the consuming one, then the shadow."""
+        states, init = [], detector.detector_init
 
-    @pytest.mark.parametrize("stream", ["hint", "tiny_then_repeat"])
-    def test_each_spectrum_computed_once(self, blas_threads, monkeypatch, stream):
-        cfg, ys = self.hint_stream() if stream == "hint" else self.tiny_then_repeat()
-        on_caller = self.counted_eigh(monkeypatch)
-        run_stream(cfg, iter(ys))
-        serial = len(on_caller)
-        assert all(on_caller) and serial > len(ys) // 3
-        on_caller.clear()
-        run_stream(cfg, ys)
-        # About every other spectrum comes from the worker; only a dropped
-        # read-ahead call is extra.
-        assert serial <= len(on_caller) <= serial + 1
-        assert on_caller.count(False) >= serial // 2 - 1
-        if stream == "tiny_then_repeat":
-            assert len(on_caller) == serial + 1
+        def keep(cfg):
+            states.append(init(cfg))
+            return states[-1]
 
-    def test_no_read_ahead_at_two_threads(self, blas_threads, monkeypatch):
-        blas_threads(2)
-        cfg, ys = self.hint_stream()
-        on_caller = self.counted_eigh(monkeypatch)
-        want = run_stream(cfg, iter(ys))
-        serial = list(on_caller)
-        assert run_stream(cfg, ys) == want
-        assert on_caller == serial + serial
+        monkeypatch.setattr(detector, "detector_init", keep)
+        return states
 
-    @pytest.mark.parametrize("row", [59, 60])
-    def test_row_after_the_decision_is_not_checked(self, blas_threads, row):
-        # Two deciding rows one apart, so that one of the two deciding steps
-        # reads its next row ahead, whichever steps take a read-ahead result.
-        cfg, ys = self.decides_present(row)
-        ys[row + 1] = np.nan
-        got = run_stream(cfg, ys)
-        assert got == run_stream(cfg, iter(ys))
-        assert got[0].decided_at == row + 1
-
-    @pytest.mark.parametrize("row", [60, 61])
-    def test_non_finite_row_raises_at_its_own_step(self, blas_threads, row):
-        cfg, ys = self.hint_stream()
-        ys[row] = np.inf
-        messages = []
-        for samples in (iter(ys), ys):
-            with pytest.raises(ValueError) as err:
-                run_stream(cfg, samples)
-            messages.append(str(err.value))
-        assert messages == [f"sample {row + 1} has a non-finite entry"] * 2
-
-    @pytest.mark.parametrize("budget", [70, 71])
-    def test_no_row_read_past_the_budget(self, blas_threads, monkeypatch, budget):
-        # Two budgets one apart, so that one of the two last steps would read
-        # ahead if it could; a finite row past the budget would then cost one
-        # more eigh call, and a non-finite one must not raise.
-        cfg, ys = self.hint_stream()
-        cfg = replace(cfg, max_samples=budget)
-        on_caller = self.counted_eigh(monkeypatch)
-        want = run_stream(cfg, iter(ys))
-        serial = len(on_caller)
-        on_caller.clear()
-        assert run_stream(cfg, ys) == want
-        assert len(on_caller) == serial
-        ys[budget] = np.nan
-        assert run_stream(cfg, ys) == want
-        assert len(want[1]) == budget
-
-    def test_worker_gone_after_return(self, blas_threads, monkeypatch):
-        cfg, ys = self.hint_stream()
-        before, seen = threading.active_count(), []
-        rank = detector.estimate_rank
+    @staticmethod
+    def thread_counts(monkeypatch):
+        """Record ``threading.active_count()`` at every rank estimate."""
+        seen, rank = [], detector.estimate_rank
 
         def spy(*args):
             seen.append(threading.active_count())
             return rank(*args)
 
         monkeypatch.setattr(detector, "estimate_rank", spy)
-        run_stream(cfg, ys)
-        assert max(seen) == before + 1
-        assert threading.active_count() == before
+        return seen
+
+    def test_same_outputs_as_one_at_a_time(self, blas_threads, monkeypatch):
+        for cpus in (1, 2, 4):
+            self.set_cpus(monkeypatch, cpus)
+            outcomes = {}
+            for name, cfg, ys in self.streams():
+                got = run_stream(cfg, ys)
+                assert got == run_stream(cfg, iter(ys)), (name, cpus)
+                outcomes[name] = got[0]
+            assert outcomes["present"] == Decision(Outcome.TARGET_PRESENT, decided_at=60)
+            assert outcomes["absent"].variant is Outcome.TARGET_ABSENT
+            assert outcomes["absent"].decided_at >= self.N
+
+    def test_same_outputs_under_fast_thread_switching(self, blas_threads, monkeypatch):
+        # More pool threads than this machine may have cores, and the GIL
+        # handed over every 10 us, so the shadow and the pool interleave finely.
+        self.set_cpus(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for name, cfg, ys in self.streams():
+                assert run_stream(cfg, ys) == run_stream(cfg, iter(ys)), name
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("stream", ["hint", "tiny_then_repeat"])
+    def test_each_spectrum_computed_once(self, blas_threads, monkeypatch, stream):
+        cfg, ys = self.hint_stream() if stream == "hint" else self.tiny_then_repeat()
+        n = cfg.target_basis.ambient_dim
+        calls = self.counted_eigh(monkeypatch)
+        run_stream(cfg, iter(ys))
+        serial = list(calls)
+        assert all(on_caller for on_caller, _ in serial) and len(serial) > len(ys) // 3
+        for cpus in (2, 4):
+            width = self.set_cpus(monkeypatch, cpus)
+            calls.clear()
+            run_stream(cfg, ys)
+            # Only a spectrum the pool started for a step that then took the
+            # Cholesky test is extra (one not yet started is cancelled, so the
+            # count depends on timing), and the shadow is at most width rows ahead.
+            assert len(serial) <= len(calls) <= len(serial) + width
+            past_n = [on_caller for on_caller, r in calls if r == n]
+            assert len(past_n) > len(ys) // 3 and past_n.count(False) > len(past_n) // 2
+
+    def test_serial_loop_at_one_cpu(self, blas_threads, monkeypatch):
+        self.set_cpus(monkeypatch, 1)
+        cfg, ys = self.hint_stream()
+        calls = self.counted_eigh(monkeypatch)
+        want = run_stream(cfg, iter(ys))
+        serial = list(calls)
+        calls.clear()
+        before, seen = threading.active_count(), self.thread_counts(monkeypatch)
+        assert run_stream(cfg, ys) == want
+        assert calls == serial and all(on_caller for on_caller, _ in calls)
+        assert set(seen) == {before}
+
+    def test_no_read_ahead_at_two_threads(self, blas_threads, monkeypatch):
+        blas_threads(2)
+        self.set_cpus(monkeypatch, 2)
+        cfg, ys = self.hint_stream()
+        calls = self.counted_eigh(monkeypatch)
+        want = run_stream(cfg, iter(ys))
+        serial = list(calls)
+        assert run_stream(cfg, ys) == want
+        assert calls == serial + serial
+
+    def test_shadow_leads_by_capped_width(self, blas_threads, monkeypatch):
+        cfg, ys = self.hint_stream()
+        states, append, leads = self.kept_states(monkeypatch), detector._append_sample, []
+
+        def spy(state, vec):
+            rho = append(state, vec)
+            leads.append(states[1].sample_count - states[0].sample_count)
+            return rho
+
+        monkeypatch.setattr(detector, "_append_sample", spy)
+        seen = self.thread_counts(monkeypatch)
+        for cpus, width in ((2, 2), (4, 2), (9, 2)):
+            assert self.set_cpus(monkeypatch, cpus) == width
+            states.clear(), leads.clear(), seen.clear()
+            before = threading.active_count()
+            run_stream(cfg, ys)
+            assert max(leads) == width and max(seen) <= before + width
+
+    def test_own_spectrum_when_scatter_differs(self, blas_threads, monkeypatch):
+        # A scatter nudged after step 30 in the consuming state only: every
+        # later spectrum the pool computes from the shadow's M is dropped.
+        cfg, ys = self.hint_stream()
+        states, rank = self.kept_states(monkeypatch), detector.estimate_rank
+
+        def nudge(lam, cfg, i):
+            if i == 30:
+                states[0]._m[0, 0] *= 1 + 1e-6
+            return rank(lam, cfg, i)
+
+        monkeypatch.setattr(detector, "estimate_rank", nudge)
+        want = run_stream(cfg, iter(ys))
+        calls = self.counted_eigh(monkeypatch)
+        self.set_cpus(monkeypatch, 2)
+        states.clear()
+        got = run_stream(cfg, ys)
+        assert got == want
+        assert [on_caller for on_caller, r in calls if r == self.N].count(True) > self.N // 2
+
+    @pytest.mark.parametrize("row", [59, 60])
+    def test_row_after_the_decision_is_not_checked(self, blas_threads, monkeypatch, row):
+        # Two deciding rows one apart, and a NaN, or a row whose scatter update
+        # overflows (a RuntimeWarning, an error under this suite's settings),
+        # 1..width rows past each, so that the shadow meets it at some offset
+        # from the consuming step.
+        cfg, ys = self.decides_present(row)
+        for cpus in (2, 4):
+            width = self.set_cpus(monkeypatch, cpus)
+            for offset in range(1, width + 1):
+                for value in (np.nan, 1e200):
+                    bad = ys.copy()
+                    bad[row + offset] = value
+                    got = run_stream(cfg, bad)
+                    assert got == run_stream(cfg, iter(bad)), (cpus, offset, value)
+                    assert got[0].decided_at == row + 1
+
+    @pytest.mark.parametrize("row", [60, 61])
+    def test_non_finite_row_raises_at_its_own_step(self, blas_threads, monkeypatch, row):
+        cfg, ys = self.hint_stream()
+        for cpus in (2, 4):
+            width = self.set_cpus(monkeypatch, cpus)
+            for offset in range(width + 1):
+                bad = ys.copy()
+                bad[row + offset] = np.inf
+                messages = []
+                for samples in (iter(bad), bad):
+                    with pytest.raises(ValueError) as err:
+                        run_stream(cfg, samples)
+                    messages.append(str(err.value))
+                assert messages == [f"sample {row + offset + 1} has a non-finite entry"] * 2
+
+    @pytest.mark.parametrize("budget", [70, 71])
+    def test_no_row_read_past_the_budget(self, blas_threads, monkeypatch, budget):
+        # Past i = n every step computes a spectrum, so a finite row past the
+        # budget would cost extra eigh calls, and a non-finite one must not raise.
+        cfg, ys = self.hint_stream()
+        cfg = replace(cfg, max_samples=budget)
+        calls = self.counted_eigh(monkeypatch)
+        want = run_stream(cfg, iter(ys))
+        serial = len(calls)
+        for cpus in (2, 4):
+            self.set_cpus(monkeypatch, cpus)
+            calls.clear()
+            assert run_stream(cfg, ys) == want
+            assert len(calls) == serial
+            bad = ys.copy()
+            bad[budget:] = np.nan
+            assert run_stream(cfg, bad) == want
+        assert len(want[1]) == budget
+
+    def test_worker_gone_after_return(self, blas_threads, monkeypatch):
+        cfg, ys = self.hint_stream()
+        seen = self.thread_counts(monkeypatch)
+        for cpus in (2, 4):
+            width = self.set_cpus(monkeypatch, cpus)
+            before = threading.active_count()
+            seen.clear()
+            run_stream(cfg, ys)
+            assert before < max(seen) <= before + width
+            assert threading.active_count() == before
 
     @pytest.mark.parametrize("at", [6, 7])
     def test_worker_gone_after_raise(self, blas_threads, monkeypatch, at):
-        # The gap rule computes a spectrum at every step, so a row is read
-        # ahead at every other one. A direction tilted after step ``at`` makes
-        # the next step raise, with or without a read-ahead call in flight.
+        # The gap rule computes a spectrum at every step, so the pool has
+        # spectra in flight. A direction tilted after step ``at`` makes the
+        # next step raise.
         cfg, ys = self.hint_stream()
         cfg = replace(cfg, noise_variance_hint=None)
-        states, init, rank = [], detector.detector_init, detector.estimate_rank
-
-        def keep(cfg):
-            states.append(init(cfg))
-            return states[-1]
+        states, rank = self.kept_states(monkeypatch), detector.estimate_rank
 
         def tilt(lam, cfg, i):
             if i == at:
                 states[0]._q[2] += 1e-3 * states[0]._q[4]
             return rank(lam, cfg, i)
 
-        monkeypatch.setattr(detector, "detector_init", keep)
         monkeypatch.setattr(detector, "estimate_rank", tilt)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="orthonormal"):
-            run_stream(cfg, ys)
-        assert states[0].sample_count == at
-        assert threading.active_count() == before
+        for cpus in (2, 4):
+            self.set_cpus(monkeypatch, cpus)
+            states.clear()
+            before = threading.active_count()
+            with pytest.raises(ValueError, match="orthonormal"):
+                run_stream(cfg, ys)
+            assert len(states) == 2 and states[0].sample_count == at
+            assert threading.active_count() == before
 
 
 class TestTrajectoryCsv:
