@@ -4,21 +4,15 @@ Exit codes: 0 success, 2 invalid input, 3 I/O failure.
 
 A subcommand runs with numpy's OpenBLAS at one thread, and the caller's count
 is put back when it returns. At the detector's sizes (n <= 1024, one sample
-per step) a second thread only spins: it doubles the CPU time for the same
-wall time, and two ``detect`` runs started together on a 2-core machine took
-9.9 to 37.8 s each at two threads, against 2.8 to 3.3 s at one. One thread
-also makes the output independent of the machine's core count. Where
-``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` sets a count, BLAS is left as
-the environment set it. Library calls (``run_stream``, ``run_experiment``)
-never change the count.
+per step) a second thread only spins and starves a second run (README gives
+the numbers). One thread also makes the output independent of the machine's
+core count. Where ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` sets a
+count, BLAS is left as the environment set it. Library calls
+(``run_stream``, ``run_experiment``) never change the count.
 
-``detect`` hands ``run_stream`` the whole sample array, so at one thread,
-with w >= 2 CPUs in the process's affinity mask, it reads up to w rows ahead
-and keeps up to w one-thread LAPACK calls in flight on a pool of w threads,
-w at most 2 (see ``run_stream``); with one CPU it runs one call at a time.
-The trace is the one-at-a-time loop's, byte for byte. Two ``detect`` runs of
-the ``long_detect`` benchmark inputs started together on a 2-core machine
-took 3.0 to 3.7 s each this way.
+``detect`` hands ``run_stream`` the whole sample array, which it may read
+ahead (see ``run_stream``); the trace is the one-at-a-time loop's, byte for
+byte.
 """
 
 from __future__ import annotations

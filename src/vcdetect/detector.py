@@ -37,6 +37,7 @@ from __future__ import annotations
 import collections
 import enum
 import functools
+import itertools
 import math
 import numbers
 import os
@@ -264,20 +265,20 @@ def ingest(state: DetectorState, y) -> DetectorState:
     t = max(gamma sigma^2, 1e-10 tr(M) / i) is at least the rule's threshold, as
     tr(M) / i >= lambda_max. Otherwise ``eigh`` gives the spectrum and V_k.
     """
-    return _ingest(state, y, None)
-
-
-def _ingest(state: DetectorState, y, eigh) -> DetectorState:
-    """``ingest``, taking the spectrum from ``eigh(M)`` when it is given."""
     if state.decision.variant is not Outcome.UNDECIDED:
         raise RuntimeError("cannot ingest after a decision was reached")
-    cfg = state.config
-    n, d2 = cfg.target_basis.ambient_dim, cfg.target_basis.dim
-    was_full = state.estimated_rank == state._rank
     _append_sample(state, np.asarray(y, dtype=float))
-    i, r = state.sample_count, state._rank
-    m = state._m[:r, :r]
-    full = was_full and r < n and cfg.noise_variance_hint is not None
+    r = state._rank
+    return _step(state, state.sample_count, state._m[:r, :r], state._off, np.linalg.eigh)
+
+
+def _step(state: DetectorState, i: int, m: np.ndarray, off: np.ndarray, eigh) -> DetectorState:
+    """Step i of ``ingest``, from its scatter m (r x r), its off-span block
+    off = Q_s - Q^T X and the spectrum ``eigh(m)``. The last step kept all r
+    directions exactly when ``state._basis`` is None, as on a fresh state."""
+    cfg = state.config
+    n, d2, r = cfg.target_basis.ambient_dim, cfg.target_basis.dim, m.shape[0]
+    full = state._basis is None and r < n and cfg.noise_variance_hint is not None
     if full:
         level = max(cfg.rank_gap_factor * cfg.noise_variance_hint, 1e-10 * np.trace(m) / i)
         try:
@@ -287,7 +288,7 @@ def _ingest(state: DetectorState, y, eigh) -> DetectorState:
     if full:
         k, V = r, None
     else:
-        w, V = (eigh or np.linalg.eigh)(m)
+        w, V = eigh(m)
         k = estimate_rank(np.concatenate([np.maximum(w[::-1] / i, 0.0), np.zeros(n - r)]), cfg, i)
         V = V[:, ::-1]
         if np.max(np.abs(V[:, :k].T @ V[:, :k] - np.eye(k)), initial=0.0) > _ORTHO_TOL:
@@ -300,7 +301,7 @@ def _ingest(state: DetectorState, y, eigh) -> DetectorState:
     elif k + d2 > n:
         log_t = float("-inf")
     else:
-        off = state._off if k == r else np.vstack([state._off, V[:, k:].T @ state._x[:r]])
+        off = off if k == r else np.vstack([off, V[:, k:].T @ state._x[:r]])
         log_t = residual_log_volume(off)
     t = math.exp(log_t)
     # exp overflows from -log_t ~ 709.78 on; exp(709.7) already exceeds the cap.
@@ -334,37 +335,32 @@ def run_stream(cfg: DetectorConfig, samples) -> tuple[Decision, list]:
     """Ingest samples until a decision is reached or the budget runs out.
 
     ``ingest`` is the strictly online API, and any iterable is read here one
-    sample at a time, as it takes them. A 2-D array, while OpenBLAS runs one
-    thread and the process's affinity mask holds w >= 2 CPUs, is also read
-    by a shadow state up to w rows ahead (w at most 2, see ``_pool_width``):
-    it folds each row in with the detector's own update and starts the
-    ``eigh`` of the scatter M it reaches on a pool of w threads. LAPACK
-    releases the GIL, so up to w calls run at once. A step takes a pool
-    result only if its own M equals the shadow's bit for bit, so every
-    output is the one-at-a-time loop's. The pool is gone when this returns
-    or raises. No row at or past ``max_samples`` is read, and a row the
-    shadow cannot fold in (a non-finite entry, or one whose update
-    overflows) ends the read-ahead quietly and is checked at its own step:
-    a NaN or a 1e200 in a row after the deciding one changes nothing.
+    sample at a time, as it takes them; no row at or past ``max_samples`` is
+    read. A 2-D array, while OpenBLAS runs one thread and the process's
+    affinity mask holds w >= 2 CPUs (w at most 2, see ``_pool_width``), is
+    read ahead on the one state (``_read_ahead``): a step that needs a
+    spectrum starts the ``eigh`` of the next w rows' scatters on a pool of w
+    threads, and LAPACK releases the GIL, so up to w calls run at once. Every
+    output is the one-at-a-time loop's, and the pool is gone when this
+    returns or raises.
     """
     state = detector_init(cfg)
-    step, pipe = ingest, None
+    step, pool = ingest, None
     width = _pool_width() if isinstance(samples, np.ndarray) and samples.ndim == 2 else 1
     threads = width >= 2 and _openblas_threads()
     if threads and threads[0]() == 1:
-        samples = samples[: cfg.max_samples]
-        pipe = _Pipeline(state, samples, width)
-        step = functools.partial(_ingest, eigh=pipe.eigh)
+        from concurrent.futures import ThreadPoolExecutor
+
+        samples, pool = samples[: cfg.max_samples], ThreadPoolExecutor(max_workers=width)
+        step = _read_ahead(samples, width, pool)
     try:
-        for y in samples:
+        for y in itertools.islice(samples, cfg.max_samples):
             step(state, y)
             if state.decision.variant is not Outcome.UNDECIDED:
                 break
-            if state.sample_count >= cfg.max_samples:
-                break
     finally:
-        if pipe is not None:
-            pipe.pool.shutdown(wait=True, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     return state.decision, state.trajectory
 
 
@@ -380,45 +376,48 @@ def _pool_width() -> int:
     return min(cpus, 2)
 
 
-class _Pipeline:
-    """``run_stream``'s read-ahead: a shadow of ``state`` over ``rows``."""
+def _read_ahead(rows: np.ndarray, width: int, pool):
+    """``ingest`` for ``run_stream``'s pool path over ``rows``, in order.
 
-    def __init__(self, state: DetectorState, rows: np.ndarray, width: int):
-        from concurrent.futures import ThreadPoolExecutor
+    Each row is folded once, up to ``width`` rows before its step, which
+    reads the M and off-span block kept at that fold. A row is folded early
+    only while tr(M) + |y|^2 stays below 1e308 (a non-finite entry fails this
+    too): no entry its fold writes exceeds that sum, up to rounding, so none
+    overflows. ``_append_sample``, which checks before it writes, must take
+    it too. Any other row ends the rows ahead and meets plain ``ingest`` at
+    its own step, so a NaN or a 1e200 after the deciding row changes nothing.
+    """
+    ahead = collections.deque()  # (M, off, future of eigh(M) or None) per row folded, not stepped
 
-        self.state, self.rows, self.width = state, rows, width
-        self.shadow = detector_init(state.config)
-        self.pool = ThreadPoolExecutor(max_workers=width)
-        # (sample count, its M as the shadow saw it, the future of its eigh),
-        # in sample order.
-        self.pending = collections.deque()
+    def fold_to(state, end, spectra=False):
+        try:
+            while state.sample_count < min(end, len(rows)):
+                vec, r = np.asarray(rows[state.sample_count], dtype=float), state._rank
+                with np.errstate(over="ignore"):
+                    if not np.trace(state._m[:r, :r]) + vec @ vec < 1e308:
+                        return
+                _append_sample(state, vec)
+                m = state._m[: state._rank, : state._rank].copy()
+                ahead.append((m, state._off.copy(), pool.submit(np.linalg.eigh, m) if spectra else None))
+        except ValueError:
+            pass
 
-    def eigh(self, m: np.ndarray):
-        """``eigh(m)`` at the consuming state's step i, from the pool when the
-        shadow saw the same M. First the shadow folds in rows up to ``width``
-        past step i and starts the eigh of each step after i. A row that
-        ``_append_sample`` rejects, or whose update overflows, ends the rows
-        with no warning; the consuming state meets it at its own step."""
-        i, shadow = self.state.sample_count, self.shadow
-        with np.errstate(all="raise", under="ignore"):
-            while shadow.sample_count < min(i + self.width, len(self.rows)):
-                try:
-                    _append_sample(shadow, np.asarray(self.rows[shadow.sample_count], dtype=float))
-                except (ValueError, ArithmeticError):
-                    self.rows = self.rows[: shadow.sample_count]
-                    break
-                if shadow.sample_count > i:
-                    ahead = shadow._m[: shadow._rank, : shadow._rank].copy()
-                    self.pending.append((shadow.sample_count, ahead,
-                                         self.pool.submit(np.linalg.eigh, ahead)))
-        while self.pending and self.pending[0][0] < i:
-            self.pending.popleft()[2].cancel()  # a step that took the Cholesky test
-        if self.pending and self.pending[0][0] == i:
-            _, ahead, future = self.pending.popleft()
-            if np.array_equal(ahead, m):
-                return future.result()
-            future.cancel()
-        return np.linalg.eigh(m)
+    def step(state, y):
+        i = len(state.trajectory) + 1
+        fold_to(state, i)
+        if not ahead:
+            return ingest(state, y)
+        m, off, future = ahead.popleft()
+
+        def eigh(m):
+            fold_to(state, i + width, spectra=True)
+            return np.linalg.eigh(m) if future is None else future.result()
+
+        _step(state, i, m, off, eigh)
+        if future is not None:
+            future.cancel()  # unused when the step took the Cholesky test
+
+    return step
 
 
 @functools.cache

@@ -61,13 +61,18 @@ class ExperimentConfig:
         if not isinstance(self.detector, dict):
             raise ValueError(f"detector must be an object, got {type(self.detector).__name__}")
         # The budget is max_samples above, and the noise hint is the scenario's.
-        opts = dict(self.detector)
-        use_hint = opts.pop("use_noise_hint", True)
+        use_hint, opts = self.detector_options
         if unknown := [key for key in opts if key not in _THRESHOLDS]:
             raise ValueError(f"unknown detector option {unknown[0]!r}")
         if type(use_hint) is not bool:
             raise ValueError(f"detector option 'use_noise_hint' must be bool, got {use_hint!r}")
         _check_fields(opts)
+
+    @property
+    def detector_options(self) -> tuple[bool, dict]:
+        """The detector block as ``(use_noise_hint, thresholds)``; the hint defaults to on."""
+        opts = dict(self.detector)
+        return opts.pop("use_noise_hint", True), opts
 
 
 # Bundled presets. fig1_full is the full-scale geometry (n=1024, d1=40,
@@ -163,8 +168,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrajectoryRecord]:
     differ. A trial's stream is seeded by ``derive_trial_seed`` and drawn
     lazily, so it stops where the detector does.
     """
-    opts = dict(cfg.detector)
-    use_hint = opts.pop("use_noise_hint", True)
+    use_hint, opts = cfg.detector_options
     records = []
     for present in (True, False):
         scenario = make_scenario(replace(cfg.scenario, target_present=present))

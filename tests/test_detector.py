@@ -925,7 +925,7 @@ def blas_threads():
 
 class TestReadAhead:
     """``run_stream`` on a 2-D array, at one OpenBLAS thread and w >= 2 CPUs,
-    runs a shadow state up to w rows ahead with a pool of w threads, and
+    folds rows up to w ahead on its one state with a pool of w threads, and
     gives the one-at-a-time loop's decision and trajectory, bit for bit."""
 
     N = 48
@@ -962,6 +962,13 @@ class TestReadAhead:
         assert inv_t[row] > max(inv_t[:row])
         return replace(cfg, divergence_threshold=max(inv_t[:row])), ys
 
+    @staticmethod
+    def overflowing_pair(ys):
+        """Two equal rows along the first sample, of squared norm 0.95e308
+        each: either folds in alone, but the second overflows M[0, 0]."""
+        row = math.sqrt(0.95e308) * ys[0] / np.linalg.norm(ys[0])
+        return np.array([row, row])
+
     def streams(self):
         cfg, ys = self.hint_stream()
         yield "hint", cfg, ys
@@ -991,7 +998,7 @@ class TestReadAhead:
 
     @staticmethod
     def kept_states(monkeypatch):
-        """Record each state ``run_stream`` makes: the consuming one, then the shadow."""
+        """Record each state ``run_stream`` makes."""
         states, init = [], detector.detector_init
 
         def keep(cfg):
@@ -1027,7 +1034,7 @@ class TestReadAhead:
 
     def test_same_outputs_under_fast_thread_switching(self, blas_threads, monkeypatch):
         # More pool threads than this machine may have cores, and the GIL
-        # handed over every 10 us, so the shadow and the pool interleave finely.
+        # handed over every 10 us, so the folds and the pool interleave finely.
         self.set_cpus(monkeypatch, 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -1051,7 +1058,7 @@ class TestReadAhead:
             run_stream(cfg, ys)
             # Only a spectrum the pool started for a step that then took the
             # Cholesky test is extra (one not yet started is cancelled, so the
-            # count depends on timing), and the shadow is at most width rows ahead.
+            # count depends on timing), and the state folds at most width rows ahead.
             assert len(serial) <= len(calls) <= len(serial) + width
             past_n = [on_caller for on_caller, r in calls if r == n]
             assert len(past_n) > len(ys) // 3 and past_n.count(False) > len(past_n) // 2
@@ -1078,75 +1085,78 @@ class TestReadAhead:
         assert run_stream(cfg, ys) == want
         assert calls == serial + serial
 
-    def test_shadow_leads_by_capped_width(self, blas_threads, monkeypatch):
+    def test_state_folds_at_most_width_ahead(self, blas_threads, monkeypatch):
+        # At each decision, sample_count - len(trajectory) rows are folded past
+        # the decided step: width on a step that read ahead, never more. Each
+        # row is folded once, into the one state run_stream makes.
         cfg, ys = self.hint_stream()
-        states, append, leads = self.kept_states(monkeypatch), detector._append_sample, []
+        states, leads, folds = self.kept_states(monkeypatch), [], []
+        append, decide = detector._append_sample, detector.decide
 
-        def spy(state, vec):
-            rho = append(state, vec)
-            leads.append(states[1].sample_count - states[0].sample_count)
-            return rho
+        def counted_append(state, vec):
+            folds.append(state.sample_count)
+            return append(state, vec)
 
-        monkeypatch.setattr(detector, "_append_sample", spy)
+        def spy(state):
+            leads.append(state.sample_count - len(state.trajectory))
+            return decide(state)
+
+        monkeypatch.setattr(detector, "_append_sample", counted_append)
+        monkeypatch.setattr(detector, "decide", spy)
         seen = self.thread_counts(monkeypatch)
         for cpus, width in ((2, 2), (4, 2), (9, 2)):
             assert self.set_cpus(monkeypatch, cpus) == width
-            states.clear(), leads.clear(), seen.clear()
+            states.clear(), leads.clear(), seen.clear(), folds.clear()
             before = threading.active_count()
-            run_stream(cfg, ys)
+            _, trajectory = run_stream(cfg, ys)
             assert max(leads) == width and max(seen) <= before + width
-
-    def test_own_spectrum_when_scatter_differs(self, blas_threads, monkeypatch):
-        # A scatter nudged after step 30 in the consuming state only: every
-        # later spectrum the pool computes from the shadow's M is dropped.
-        cfg, ys = self.hint_stream()
-        states, rank = self.kept_states(monkeypatch), detector.estimate_rank
-
-        def nudge(lam, cfg, i):
-            if i == 30:
-                states[0]._m[0, 0] *= 1 + 1e-6
-            return rank(lam, cfg, i)
-
-        monkeypatch.setattr(detector, "estimate_rank", nudge)
-        want = run_stream(cfg, iter(ys))
-        calls = self.counted_eigh(monkeypatch)
-        self.set_cpus(monkeypatch, 2)
-        states.clear()
-        got = run_stream(cfg, ys)
-        assert got == want
-        assert [on_caller for on_caller, r in calls if r == self.N].count(True) > self.N // 2
+            assert len(states) == 1 and folds == list(range(len(trajectory)))
 
     @pytest.mark.parametrize("row", [59, 60])
     def test_row_after_the_decision_is_not_checked(self, blas_threads, monkeypatch, row):
-        # Two deciding rows one apart, and a NaN, or a row whose scatter update
-        # overflows (a RuntimeWarning, an error under this suite's settings),
-        # 1..width rows past each, so that the shadow meets it at some offset
-        # from the consuming step.
+        # Two deciding rows one apart, and 1..width rows past each a NaN, a
+        # row whose scatter update overflows (a RuntimeWarning, an error under
+        # this suite's settings), or two rows that each fold in alone but
+        # overflow M together, so that the read-ahead meets them at some
+        # offset from the deciding step.
         cfg, ys = self.decides_present(row)
         for cpus in (2, 4):
             width = self.set_cpus(monkeypatch, cpus)
             for offset in range(1, width + 1):
-                for value in (np.nan, 1e200):
-                    bad = ys.copy()
-                    bad[row + offset] = value
+                nan, huge, pair = ys.copy(), ys.copy(), ys.copy()
+                nan[row + offset] = np.nan
+                huge[row + offset] = 1e200
+                pair[row + offset : row + offset + 2] = self.overflowing_pair(ys)
+                for name, bad in (("nan", nan), ("1e200", huge), ("pair", pair)):
                     got = run_stream(cfg, bad)
-                    assert got == run_stream(cfg, iter(bad)), (cpus, offset, value)
+                    assert got == run_stream(cfg, iter(bad)), (cpus, offset, name)
                     assert got[0].decided_at == row + 1
 
     @pytest.mark.parametrize("row", [60, 61])
     def test_non_finite_row_raises_at_its_own_step(self, blas_threads, monkeypatch, row):
+        # An inf row raises ValueError. Of two rows that each fold in alone,
+        # the second overflows M, a RuntimeWarning (an error under this
+        # suite's settings). On both paths the state that raises has stepped
+        # every row before the bad one.
         cfg, ys = self.hint_stream()
+        states = self.kept_states(monkeypatch)
         for cpus in (2, 4):
             width = self.set_cpus(monkeypatch, cpus)
             for offset in range(width + 1):
-                bad = ys.copy()
-                bad[row + offset] = np.inf
-                messages = []
-                for samples in (iter(bad), bad):
-                    with pytest.raises(ValueError) as err:
-                        run_stream(cfg, samples)
-                    messages.append(str(err.value))
-                assert messages == [f"sample {row + offset + 1} has a non-finite entry"] * 2
+                bad = row + offset
+                inf, pair = ys.copy(), ys.copy()
+                inf[bad] = np.inf
+                pair[bad - 1 : bad + 1] = self.overflowing_pair(ys)
+                for rows, error, message in (
+                    (inf, ValueError, f"sample {bad + 1} has a non-finite entry"),
+                    (pair, RuntimeWarning, "overflow encountered"),
+                ):
+                    for samples in (iter(rows), rows):
+                        states.clear()
+                        with pytest.raises(error) as err:
+                            run_stream(cfg, samples)
+                        assert message in str(err.value)
+                        assert len(states) == 1 and len(states[0].trajectory) == bad
 
     @pytest.mark.parametrize("budget", [70, 71])
     def test_no_row_read_past_the_budget(self, blas_threads, monkeypatch, budget):
@@ -1181,8 +1191,9 @@ class TestReadAhead:
     @pytest.mark.parametrize("at", [6, 7])
     def test_worker_gone_after_raise(self, blas_threads, monkeypatch, at):
         # The gap rule computes a spectrum at every step, so the pool has
-        # spectra in flight. A direction tilted after step ``at`` makes the
-        # next step raise.
+        # spectra in flight. A direction tilted after step ``at`` fails every
+        # later fold: the rows folded ahead by then still step, and the step of
+        # the first row not folded raises.
         cfg, ys = self.hint_stream()
         cfg = replace(cfg, noise_variance_hint=None)
         states, rank = self.kept_states(monkeypatch), detector.estimate_rank
@@ -1194,12 +1205,12 @@ class TestReadAhead:
 
         monkeypatch.setattr(detector, "estimate_rank", tilt)
         for cpus in (2, 4):
-            self.set_cpus(monkeypatch, cpus)
+            width = self.set_cpus(monkeypatch, cpus)
             states.clear()
             before = threading.active_count()
             with pytest.raises(ValueError, match="orthonormal"):
                 run_stream(cfg, ys)
-            assert len(states) == 2 and states[0].sample_count == at
+            assert len(states) == 1 and len(states[0].trajectory) == at + width
             assert threading.active_count() == before
 
 

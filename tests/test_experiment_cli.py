@@ -536,9 +536,10 @@ class TestBlasThreads:
 
     @pytest.mark.parametrize("count", [None, "2"])
     def test_detect_trace_matches_library_run(self, threads, tmp_path, count):
-        # detect hands run_stream the whole array, which it reads one row
-        # ahead at one thread (the CLI's count) and not at two. Either way the
-        # trace is the one-at-a-time loop's at the same count.
+        # detect hands run_stream the whole array, which it reads ahead at
+        # one thread (the CLI's count) with two or more CPUs, and not at two
+        # threads. Either way the trace is the one-at-a-time loop's at the
+        # same count.
         from vcdetect.detector import DetectorConfig, run_stream, write_trajectory_csv
 
         n = 64
