@@ -35,6 +35,7 @@ The statistic is computed in the log domain; 1/T is capped at 1e308.
 from __future__ import annotations
 
 import collections
+import contextlib
 import enum
 import functools
 import itertools
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SubspaceBasis, gram_schmidt_step, residual_log_volume
+from .geometry import _ORTHO_TOL, SubspaceBasis, gram_schmidt_step, residual_log_volume
 
 __all__ = [
     "Outcome",
@@ -125,6 +126,11 @@ class DetectorConfig:
             )
         _check_fields({name: getattr(self, name) for name in _NUMERIC_FIELDS
                        if name != "noise_variance_hint" or self.noise_variance_hint is not None})
+        # The rank threshold, as Python floats, which overflow to inf without a warning.
+        hint, gamma = self.noise_variance_hint, self.rank_gap_factor
+        if hint is not None and not math.isfinite(float(gamma) * float(hint)):
+            raise ValueError("rank_gap_factor * noise_variance_hint must be finite, "
+                             f"got {gamma!r} * {hint!r}")
 
 
 @dataclass
@@ -164,8 +170,6 @@ class DetectorState:
 
 _INITIAL_CAPACITY = 16
 
-# Orthonormality budget of Q's rows and of V_k, the 1e-10 of SubspaceBasis.
-_ORTHO_TOL = 1e-10
 # A residual below this fraction of the sample's norm adds no direction (a
 # zero sample, or a repeat of the span to rounding); its eigenvalue would sit
 # far below the 1e-10 relative floor of estimate_rank.
@@ -219,21 +223,27 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
 def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
     """Check one sample and fold it into Q, X, M and the off-span part of Q_s.
 
+    Every sample passes one check before anything is written: the right
+    length, and tr(M) + |y|^2 below 1e308 (NaN and inf fail it too). No entry
+    the fold writes exceeds that sum, so an admitted sample cannot overflow.
     One two-pass Gram-Schmidt step gives the sample's coefficients u in Q
     and, unless the residual is negligible, a new direction of Q, which must
-    be orthogonal to the stored ones; u then gains the residual norm. M, with
-    a zero row and column for a new direction, gains u u^T. The sample count
-    moves only once every buffer is written. Returns the residual norm.
+    be orthogonal to the stored ones; u then gains the residual norm, so |u|
+    = |y| to rounding. M, with a zero row and column for a new direction,
+    gains u u^T. Each check comes before the first write, and the sample
+    count moves last. Returns the residual norm.
     """
     n, i = state.config.target_basis.ambient_dim, state.sample_count + 1
     if vec.shape != (n,):
         raise ValueError(f"sample length {vec.shape} does not match ambient dim {n}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"sample {i} has a non-finite entry")
     r = state._rank
+    # vdot, unlike dot, warns of no overflow; the difference cannot overflow.
+    if not (yy := np.vdot(vec, vec)) < 1e308 - np.trace(state._m[:r, :r]):
+        what = "overflows the scatter" if np.isfinite(vec).all() else "has a non-finite entry"
+        raise ValueError(f"sample {i} {what}")
     u, resid = gram_schmidt_step(state._q[:r], vec)
     rho = float(np.linalg.norm(resid))
-    if rho > _DEPENDENT_TOL * np.linalg.norm(vec):
+    if rho > _DEPENDENT_TOL * math.sqrt(yy):
         q = resid / rho
         if np.max(np.abs(state._q[:r] @ q), initial=0.0) > _ORTHO_TOL:
             raise ValueError("stored sample directions are not orthonormal")
@@ -380,27 +390,19 @@ def _read_ahead(rows: np.ndarray, width: int, pool):
     """``ingest`` for ``run_stream``'s pool path over ``rows``, in order.
 
     Each row is folded once, up to ``width`` rows before its step, which
-    reads the M and off-span block kept at that fold. A row is folded early
-    only while tr(M) + |y|^2 stays below 1e308 (a non-finite entry fails this
-    too): no entry its fold writes exceeds that sum, up to rounding, so none
-    overflows. ``_append_sample``, which checks before it writes, must take
-    it too. Any other row ends the rows ahead and meets plain ``ingest`` at
-    its own step, so a NaN or a 1e200 after the deciding row changes nothing.
+    reads the M and off-span block kept at that fold. A row that
+    ``_append_sample`` refuses, which leaves the state as it was, ends the
+    rows ahead and meets plain ``ingest`` at its own step, so a NaN or a
+    1e200 after the deciding row changes nothing.
     """
     ahead = collections.deque()  # (M, off, future of eigh(M) or None) per row folded, not stepped
 
     def fold_to(state, end, spectra=False):
-        try:
+        with contextlib.suppress(ValueError):
             while state.sample_count < min(end, len(rows)):
-                vec, r = np.asarray(rows[state.sample_count], dtype=float), state._rank
-                with np.errstate(over="ignore"):
-                    if not np.trace(state._m[:r, :r]) + vec @ vec < 1e308:
-                        return
-                _append_sample(state, vec)
+                _append_sample(state, np.asarray(rows[state.sample_count], dtype=float))
                 m = state._m[: state._rank, : state._rank].copy()
                 ahead.append((m, state._off.copy(), pool.submit(np.linalg.eigh, m) if spectra else None))
-        except ValueError:
-            pass
 
     def step(state, y):
         i = len(state.trajectory) + 1
@@ -469,9 +471,10 @@ def noiseless_breakpoint(
       ratio of the volumes of the off-span part of Q_s after and before the
       step, so the test reads the drop of its log-volume against log(tol).
 
-    Both tests are relative to one step, so neither depends on the scale of
-    the samples or on how many came before. ``(None, None)`` if the stream
-    ends first.
+    Both tests are relative to one step, so neither depends on how many
+    samples came before, nor on their scale while ``_append_sample`` admits
+    them: a sample that takes tr(M) + |y|^2 to 1e308 raises ValueError.
+    ``(None, None)`` if the stream ends first.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")

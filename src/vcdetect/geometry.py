@@ -14,6 +14,8 @@ import numpy as np
 
 # Relative floor under which a singular value counts as zero.
 SINGULAR_VALUE_FLOOR = 1e-12
+# Largest entry of |B^T B - I| an orthonormal basis B may have, here and in the detector.
+_ORTHO_TOL = 1e-10
 
 __all__ = [
     "SINGULAR_VALUE_FLOOR",
@@ -53,7 +55,7 @@ class SubspaceBasis:
             raise ValueError("subspace dimension exceeds ambient dimension")
         if B.shape[1] > 0:
             off = np.abs(B.T @ B - np.eye(B.shape[1]))
-            if np.max(off) > 1e-10:
+            if np.max(off) > _ORTHO_TOL:
                 col = int(np.unravel_index(np.argmax(off), off.shape)[1])
                 raise ValueError(f"basis columns are not orthonormal (column {col})")
 

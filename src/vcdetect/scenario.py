@@ -69,6 +69,14 @@ class ScenarioConfig:
         snr = self.snr_db
         if isinstance(snr, bool) or not isinstance(snr, (int, float)) or not snr > -math.inf:
             raise ValueError(f"snr_db must be a number or inf, got {snr!r}")
+        # 10.0 ** x raises OverflowError past the float range; power * 10.0 ** x
+        # may round to inf instead.
+        try:
+            variance = self.noise_variance
+        except OverflowError:
+            variance = math.inf
+        if not variance < math.inf:
+            raise ValueError(f"snr_db gives a noise variance that is not finite, got {snr!r}")
 
     @property
     def noise_variance(self) -> float:

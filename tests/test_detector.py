@@ -231,8 +231,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             DetectorConfig(target_basis=self.TARGET, **{field: math.nan})
 
-    @pytest.mark.parametrize("hint", [math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("hint", [math.inf, -math.inf, -1.0, 1e308])
     def test_bad_noise_hint_rejected(self, hint):
+        # At 1e308 the rank threshold gamma sigma^2 is inf, so k stayed 0 and
+        # every stream stalled into target_absent.
         with pytest.raises(ValueError, match="noise_variance_hint"):
             DetectorConfig(target_basis=self.TARGET, noise_variance_hint=hint)
 
@@ -728,6 +730,18 @@ class TestNoiselessBreakpoint:
         ys = [1e-3 * y for y in sample_stream(sc, np.random.default_rng(seed + 1), 8)]
         assert noiseless_breakpoint(sc.target_basis, ys) == (7, True)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_large_scale_does_not_matter_below_the_bound(self, seed):
+        # At 1e150 tr(M) + |y|^2 stays below 1e308, so the answer is the
+        # unscaled one. At 1e160 |y|^2 overflows, and sample 1 is refused; it
+        # used to read as a collapse, (1, False).
+        sc = noiseless_scenario(32, 6, 2, True, seed)
+        ys = list(sample_stream(sc, np.random.default_rng(seed + 1), 8))
+        want = noiseless_breakpoint(sc.target_basis, ys)
+        assert noiseless_breakpoint(sc.target_basis, [1e150 * y for y in ys]) == want == (7, True)
+        with pytest.raises(ValueError, match="sample 1 overflows the scatter"):
+            noiseless_breakpoint(sc.target_basis, [1e160 * y for y in ys])
+
     @pytest.mark.parametrize("seed", [0, 3, 6])
     def test_many_directions_do_not_matter(self, seed):
         # 120 stacked factors below 1 multiply to less than tol just before
@@ -1115,10 +1129,9 @@ class TestReadAhead:
     @pytest.mark.parametrize("row", [59, 60])
     def test_row_after_the_decision_is_not_checked(self, blas_threads, monkeypatch, row):
         # Two deciding rows one apart, and 1..width rows past each a NaN, a
-        # row whose scatter update overflows (a RuntimeWarning, an error under
-        # this suite's settings), or two rows that each fold in alone but
-        # overflow M together, so that the read-ahead meets them at some
-        # offset from the deciding step.
+        # row whose squared norm overflows, or two rows that each fold in
+        # alone but overflow M together, so that the read-ahead meets them at
+        # some offset from the deciding step.
         cfg, ys = self.decides_present(row)
         for cpus in (2, 4):
             width = self.set_cpus(monkeypatch, cpus)
@@ -1134,29 +1147,47 @@ class TestReadAhead:
 
     @pytest.mark.parametrize("row", [60, 61])
     def test_non_finite_row_raises_at_its_own_step(self, blas_threads, monkeypatch, row):
-        # An inf row raises ValueError. Of two rows that each fold in alone,
-        # the second overflows M, a RuntimeWarning (an error under this
-        # suite's settings). On both paths the state that raises has stepped
-        # every row before the bad one.
+        # An inf row, a 1e200 row, and the second of two rows that each fold
+        # in alone raise ValueError naming the row. On both paths the state
+        # that raises has stepped every row before the bad one.
         cfg, ys = self.hint_stream()
         states = self.kept_states(monkeypatch)
         for cpus in (2, 4):
             width = self.set_cpus(monkeypatch, cpus)
             for offset in range(width + 1):
                 bad = row + offset
-                inf, pair = ys.copy(), ys.copy()
+                inf, huge, pair = ys.copy(), ys.copy(), ys.copy()
                 inf[bad] = np.inf
+                huge[bad] = 1e200
                 pair[bad - 1 : bad + 1] = self.overflowing_pair(ys)
-                for rows, error, message in (
-                    (inf, ValueError, f"sample {bad + 1} has a non-finite entry"),
-                    (pair, RuntimeWarning, "overflow encountered"),
+                for rows, message in (
+                    (inf, f"sample {bad + 1} has a non-finite entry"),
+                    (huge, f"sample {bad + 1} overflows the scatter"),
+                    (pair, f"sample {bad + 1} overflows the scatter"),
                 ):
                     for samples in (iter(rows), rows):
                         states.clear()
-                        with pytest.raises(error) as err:
+                        with pytest.raises(ValueError, match=message):
                             run_stream(cfg, samples)
-                        assert message in str(err.value)
                         assert len(states) == 1 and len(states[0].trajectory) == bad
+
+    def test_refused_row_leaves_the_state_as_it_was(self):
+        # The second row of the pair is refused before any write, so the
+        # stream goes on as if it had never been there. M[0, 0] used to
+        # overflow to inf before the error.
+        cfg, ys = self.hint_stream()
+        ys[9:11] = self.overflowing_pair(ys)
+        state = detector_init(cfg)
+        for y in ys[:10]:
+            ingest(state, y)
+        count, rank, m, trajectory = state.sample_count, state._rank, state._m.copy(), list(state.trajectory)
+        with pytest.raises(ValueError, match="sample 11 overflows the scatter"):
+            ingest(state, ys[10])
+        assert (state.sample_count, state._rank, state.trajectory) == (count, rank, trajectory)
+        assert np.array_equal(state._m, m)
+        for y in ys[11:]:
+            ingest(state, y)
+        assert state.trajectory == run_stream(cfg, iter(np.delete(ys, 10, axis=0)))[1]
 
     @pytest.mark.parametrize("budget", [70, 71])
     def test_no_row_read_past_the_budget(self, blas_threads, monkeypatch, budget):

@@ -225,16 +225,17 @@ class TestSimulateCli:
         assert key in r.stderr and "Traceback" not in r.stderr
         assert r.stdout == ""
 
-    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf"), -3100.0])
     def test_snr_not_a_level_exits_2(self, tmp_path, snr_db):
-        # Without the check both ran as a noiseless experiment and exited 0.
+        # Without the check the first two ran as a noiseless experiment and
+        # exited 0, and -3100 dB exited 1 with an OverflowError traceback.
         doc = {**SMALL_DOC, "detector": {**SMALL_DOC["detector"], "use_noise_hint": False}}
         doc["scenario"] = {**SMALL_DOC["scenario"], "snr_db": snr_db}
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(doc))
         r = run_cli("simulate", "--config", str(config))
         assert r.returncode == 2
-        assert "snr_db" in r.stderr
+        assert "snr_db" in r.stderr and "Traceback" not in r.stderr
         assert r.stdout == ""
 
     @pytest.mark.parametrize(
@@ -356,12 +357,14 @@ class TestDetectCli:
     def test_infinite_rank_gap_factor_exits_2(self, tmp_path):
         # gamma = inf made the rank threshold NaN at a zero hint, and a
         # target-absent stream decided target_present; with a positive hint
-        # k stayed 0 and every trial read absent.
+        # k stayed 0 and every trial read absent, as it did at the default
+        # gamma with a hint of 1e308, whose threshold 2e308 is inf too.
         samples, basis, _, _ = self.make_files(tmp_path, present=False, noiseless=False)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({**SMALL_DOC, "detector": {"rank_gap_factor": float("inf")}}))
         for args in (
             ("detect", "--samples", str(samples), "--target-basis", str(basis), "--gamma", "inf"),
+            ("detect", "--samples", str(samples), "--target-basis", str(basis), "--sigma2", "1e308"),
             ("simulate", "--config", str(config)),
         ):
             r = run_cli(*args)
@@ -379,6 +382,20 @@ class TestDetectCli:
         r = run_cli("detect", "--samples", str(samples), "--target-basis", str(basis))
         assert r.returncode == 2
         assert "row 3" in r.stderr and "non-finite" in r.stderr
+        assert r.stdout == ""
+
+    def test_sample_overflowing_the_scatter_exits_2(self, tmp_path):
+        # A 1e200 entry parses as a finite float, but its square does not.
+        # It used to overflow the scatter with four RuntimeWarnings, and this
+        # stream exited 0 as target_present.
+        samples, basis, _, _ = self.make_files(tmp_path)
+        rows = samples.read_text().splitlines()
+        rows[2] = ",".join(["1e200"] + rows[2].split(",")[1:])
+        samples.write_text("\n".join(rows) + "\n")
+        r = run_cli("detect", "--samples", str(samples), "--target-basis", str(basis), "--sigma2", "0")
+        assert r.returncode == 2
+        assert "sample 3 overflows the scatter" in r.stderr
+        assert "RuntimeWarning" not in r.stderr and "did not converge" not in r.stderr
         assert r.stdout == ""
 
     def test_zero_max_samples_exits_2(self, tmp_path):

@@ -92,9 +92,11 @@ class TestMakeScenario:
         with pytest.raises(ValueError):
             ScenarioConfig(8, 0, 2, 0.0, True, 0)
 
-    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -3100.0, -3082.0])
     def test_snr_not_a_level_rejected(self, snr_db):
-        # NaN would skip the noise and -inf would read as noiseless.
+        # NaN would skip the noise and -inf would read as noiseless. At -3100
+        # dB 10 ** (-snr_db / 10) raised OverflowError; at -3082 dB it is
+        # finite, but times the power 3 the noise variance is inf.
         with pytest.raises(ValueError, match="snr_db"):
             ScenarioConfig(8, 2, 1, snr_db, True, 0)
         with pytest.raises(ValueError, match="snr_db"):
