@@ -152,12 +152,11 @@ def _cmd_bound(args) -> int:
         eigs = tuple(float(v) for v in args.eigs.split(","))
     except ValueError as exc:
         raise ValueError(f"bad --eigs value: {exc}") from exc
-    k = args.k if args.k is not None else sum(1 for v in eigs if v > args.sigma2)
     inputs = BoundInputs(
         eigenvalues=eigs,
         noise_variance=args.sigma2,
         ambient_dim=args.n,
-        signal_rank=k,
+        signal_rank=sum(1 for v in eigs if v > args.sigma2),
         delta=args.delta,
         epsilon=args.eps,
         target_dim=args.d2,
@@ -203,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--n", type=int, required=True)
     bnd.add_argument("--delta", type=float, required=True)
     bnd.add_argument("--eps", type=float, required=True)
-    bnd.add_argument("--k", type=int, default=None, help="signal rank (default: inferred)")
     bnd.add_argument("--d2", type=int, default=None, help="target dimension (present-case deviation)")
     bnd.set_defaults(func=_cmd_bound)
     return parser

@@ -109,6 +109,14 @@ def _check_fields(values: dict) -> None:
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def _check_rank_threshold(gamma, hint) -> None:
+    """Raise ValueError unless the rank threshold gamma * sigma^2 is finite.
+    It is formed as Python floats, which overflow to inf without a warning."""
+    if not math.isfinite(float(gamma) * float(hint)):
+        raise ValueError("rank_gap_factor * noise_variance_hint must be finite, "
+                         f"got {gamma!r} * {hint!r}")
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     target_basis: SubspaceBasis
@@ -126,11 +134,8 @@ class DetectorConfig:
             )
         _check_fields({name: getattr(self, name) for name in _NUMERIC_FIELDS
                        if name != "noise_variance_hint" or self.noise_variance_hint is not None})
-        # The rank threshold, as Python floats, which overflow to inf without a warning.
-        hint, gamma = self.noise_variance_hint, self.rank_gap_factor
-        if hint is not None and not math.isfinite(float(gamma) * float(hint)):
-            raise ValueError("rank_gap_factor * noise_variance_hint must be finite, "
-                             f"got {gamma!r} * {hint!r}")
+        if self.noise_variance_hint is not None:
+            _check_rank_threshold(self.rank_gap_factor, self.noise_variance_hint)
 
 
 @dataclass
@@ -291,8 +296,10 @@ def _step(state: DetectorState, i: int, m: np.ndarray, off: np.ndarray, eigh) ->
     full = state._basis is None and r < n and cfg.noise_variance_hint is not None
     if full:
         level = max(cfg.rank_gap_factor * cfg.noise_variance_hint, 1e-10 * np.trace(m) / i)
+        shifted = m.copy()
+        shifted.flat[:: r + 1] -= i * level  # m - i level I; the copy is C-contiguous
         try:
-            np.linalg.cholesky(m - i * level * np.eye(r))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             full = False
     if full:

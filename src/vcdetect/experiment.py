@@ -7,6 +7,7 @@ splitmix64, so a trial's records do not depend on which trials ran before it.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field, replace
 from itertools import count
@@ -14,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detector import (_THRESHOLDS, DetectorConfig, Outcome, _check_fields, _write_csv,
-                       decision_label, run_stream)
+from .detector import (_THRESHOLDS, DetectorConfig, Outcome, _check_fields,
+                       _check_rank_threshold, _write_csv, decision_label, run_stream)
 from .scenario import ScenarioConfig, draw_sample, make_scenario
 
 __all__ = [
@@ -67,6 +68,13 @@ class ExperimentConfig:
         if type(use_hint) is not bool:
             raise ValueError(f"detector option 'use_noise_hint' must be bool, got {use_hint!r}")
         _check_fields(opts)
+        # The rank threshold run_experiment builds from each hypothesis's
+        # noise_std ** 2 = sqrt(variance) ** 2, checked without drawing a scenario.
+        if use_hint:
+            gamma = opts.get("rank_gap_factor", DetectorConfig.rank_gap_factor)
+            for present in (True, False):
+                variance = replace(self.scenario, target_present=present).noise_variance
+                _check_rank_threshold(gamma, math.sqrt(variance) ** 2)
 
     @property
     def detector_options(self) -> tuple[bool, dict]:

@@ -182,6 +182,7 @@ class TestSimulateCli:
             ("divergence_threshold", 0.5),
             ("stall_epsilon", 0),
             ("stall_patience", 0),
+            ("rank_gap_factor", 1e308),
         ],
     )
     def test_out_of_range_detector_value_exits_2_at_load(
@@ -190,12 +191,18 @@ class TestSimulateCli:
         # Without the load-time range check these passed the block's type
         # check and were caught only when run_experiment built the detector
         # config, after a scenario was drawn and without the config prefix.
+        # At -20 dB the hint is 18.75 (present) or 12.5 (absent), so gamma =
+        # 1e308 overflows the rank threshold; SMALL_DOC's 0.06 would not.
         def no_scenario(cfg):
             raise AssertionError("a scenario was drawn")
 
         monkeypatch.setattr(experiment, "make_scenario", no_scenario)
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({**SMALL_DOC, "detector": {**SMALL_DOC["detector"], key: value}}))
+        config.write_text(json.dumps({
+            **SMALL_DOC,
+            "scenario": {**SMALL_DOC["scenario"], "snr_db": -20.0},
+            "detector": {**SMALL_DOC["detector"], key: value},
+        }))
         assert cli.main(["simulate", "--config", str(config)]) == 2
         out, err = capsys.readouterr()
         assert "invalid experiment config:" in err and key in err
@@ -492,6 +499,14 @@ class TestBoundCli:
         assert r.returncode == 2
         assert name in r.stderr and "Traceback" not in r.stderr
         assert r.stdout == ""
+
+    def test_k_flag_is_refused(self, capsys):
+        # The signal rank is the count of --eigs above --sigma2; a --k could
+        # only repeat that count or fail BoundInputs' check of it.
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*BOUND_ARGS, "--k", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k 2" in capsys.readouterr().err
 
 
 BOUND_ARGS = [
