@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -152,11 +153,16 @@ def _cmd_bound(args) -> int:
         eigs = tuple(float(v) for v in args.eigs.split(","))
     except ValueError as exc:
         raise ValueError(f"bad --eigs value: {exc}") from exc
+    rank = sum(1 for v in eigs if v > args.sigma2)
+    # BoundInputs would name its signal_rank field, which no flag sets; a
+    # non-finite value or sigma2 <= 0 is left to its own message.
+    if rank == 0 and args.sigma2 > 0 and all(map(math.isfinite, (*eigs, args.sigma2))):
+        raise ValueError(f"no --eigs value lies above --sigma2 {args.sigma2!r}")
     inputs = BoundInputs(
         eigenvalues=eigs,
         noise_variance=args.sigma2,
         ambient_dim=args.n,
-        signal_rank=sum(1 for v in eigs if v > args.sigma2),
+        signal_rank=rank,
         delta=args.delta,
         epsilon=args.eps,
         target_dim=args.d2,

@@ -29,6 +29,10 @@ of the signal basis Q^T V_k, so neither that n x k basis nor the n x n
 covariance is formed unless ``state.signal_basis`` or ``state.covariance``
 is read, nor any eigenpair when a Cholesky test shows the cut keeps all r (``ingest``).
 
+The state also keeps log Vol([Q^T, Q_s]), the statistic of a step that keeps
+all r directions, by a rank-1 update per new direction (``_fold_volume``), so
+such a step takes no SVD.
+
 The statistic is computed in the log domain; 1/T is capped at 1e308.
 """
 
@@ -46,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _ORTHO_TOL, SubspaceBasis, gram_schmidt_step, residual_log_volume
+from .geometry import (_ORTHO_TOL, SubspaceBasis, _sum_log_sines, gram_schmidt_step,
+                       residual_log_volume)
 
 __all__ = [
     "Outcome",
@@ -147,14 +152,15 @@ class DetectorState:
     decision: Decision
     # The first _rank rows of _q are orthonormal directions Q spanning the
     # samples; _x holds X = Q Q_s and _m the scatter M = Q Y Y^T Q^T, in
-    # buffers that grow by doubling up to n rows. _off is Q_s - Q^T X, the
-    # part of the target basis off that span, and _basis holds the r x k
-    # coefficients V_k of the signal basis Q^T V_k, or None when k = r and the
-    # basis is Q^T itself.
+    # buffers that grow by doubling up to n rows. _log_vol is log Vol([Q^T,
+    # Q_s]) and _ginv the inverse of G = off^T off, off = Q_s - Q^T X, or
+    # None once log Vol is -inf. _basis holds the r x k coefficients V_k of
+    # the signal basis Q^T V_k, or None when k = r and the basis is Q^T itself.
     _q: np.ndarray
     _x: np.ndarray
     _m: np.ndarray
-    _off: np.ndarray
+    _ginv: np.ndarray | None
+    _log_vol: float = 0.0
     _basis: np.ndarray | None = None
     _rank: int = 0
 
@@ -180,6 +186,9 @@ _INITIAL_CAPACITY = 16
 # far below the 1e-10 relative floor of estimate_rank.
 _DEPENDENT_TOL = 1e-12
 
+# A rank-1 pivot 1 - x G^-1 x^T at most this has lost digits to cancellation.
+_PIVOT_FLOOR = 0.1
+
 
 def detector_init(cfg: DetectorConfig) -> DetectorState:
     """Fresh state: no samples, empty trajectory, undecided."""
@@ -194,7 +203,7 @@ def detector_init(cfg: DetectorConfig) -> DetectorState:
         _q=np.empty((cap, n)),
         _x=np.empty((cap, cfg.target_basis.dim)),
         _m=np.zeros((cap, cap)),
-        _off=cfg.target_basis.basis.copy(),
+        _ginv=np.eye(cfg.target_basis.dim),
     )
 
 
@@ -226,7 +235,7 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
 
 
 def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
-    """Check one sample and fold it into Q, X, M and the off-span part of Q_s.
+    """Check one sample and fold it into Q, X, M and log Vol.
 
     Every sample passes one check before anything is written: the right
     length, and tr(M) + |y|^2 below 1e308 (NaN and inf fail it too). No entry
@@ -235,8 +244,9 @@ def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
     and, unless the residual is negligible, a new direction of Q, which must
     be orthogonal to the stored ones; u then gains the residual norm, so |u|
     = |y| to rounding. M, with a zero row and column for a new direction,
-    gains u u^T. Each check comes before the first write, and the sample
-    count moves last. Returns the residual norm.
+    gains u u^T, and a new direction's row of X updates log Vol
+    (``_fold_volume``). Each check comes before the first write, and the
+    sample count moves last. Returns the residual norm.
     """
     n, i = state.config.target_basis.ambient_dim, state.sample_count + 1
     if vec.shape != (n,):
@@ -260,12 +270,41 @@ def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
             state._q, state._x, state._m = q_buf, x_buf, m_buf
         x = q @ state.config.target_basis.basis
         state._q[r], state._x[r] = q, x
-        state._off -= np.outer(q, x)
         u = np.append(u, rho)
         r = state._rank = r + 1
+        _fold_volume(state, x)
     state._m[:r, :r] += np.outer(u, u)
     state.sample_count = i
     return rho
+
+
+def _off_span(state: DetectorState, r: int) -> np.ndarray:
+    """off = Q_s - Q^T X over the first r directions: the part of Q_s off their span."""
+    return state.config.target_basis.basis - state._q[:r].T @ state._x[:r]
+
+
+def _fold_volume(state: DetectorState, x: np.ndarray) -> None:
+    """Update log Vol and G^-1 for the direction q just added, x = q Q_s.
+
+    off loses q x, and off^T q = x^T, so G <- G - x^T x. With w = G^-1 x^T
+    and pivot = 1 - x w, log Vol gains (1/2) log(pivot) (the determinant
+    lemma) and G^-1 gains w w^T / pivot (Sherman-Morrison). A pivot at most
+    ``_PIVOT_FLOOR`` recomputes both from the SVD of off, with
+    ``residual_log_volume``'s arithmetic; a sine below its floor gives -inf,
+    and every later direction takes the SVD too.
+    """
+    ginv = state._ginv
+    if ginv is not None:
+        w = ginv @ x
+        pivot = 1.0 - x @ w
+        if pivot > _PIVOT_FLOOR:
+            state._log_vol += 0.5 * math.log(pivot)
+            w /= math.sqrt(pivot)
+            ginv += np.outer(w, w)
+            return
+    _, s, vt = np.linalg.svd(_off_span(state, state._rank), full_matrices=False)
+    state._log_vol = _sum_log_sines(s)
+    state._ginv = (vt.T / s**2) @ vt if ginv is not None and state._log_vol > -math.inf else None
 
 
 def ingest(state: DetectorState, y) -> DetectorState:
@@ -274,23 +313,26 @@ def ingest(state: DetectorState, y) -> DetectorState:
     The eigenvalues of M / i give the spectrum; the top-k eigenvectors V_k
     are the orthonormal coefficients of the signal basis Q^T V_k. The sines
     of its principal angles with Q_s are the singular values of the part of
-    Q_s off that basis, [Q_s - Q^T X; V_perp^T X] in orthonormal coordinates.
-    When k = r that part is Q_s - Q^T X alone, so after a k = r step under the hint rule
-    with r < n, a Cholesky factorization of M - t i I shows k = r with no spectrum:
-    t = max(gamma sigma^2, 1e-10 tr(M) / i) is at least the rule's threshold, as
-    tr(M) / i >= lambda_max. Otherwise ``eigh`` gives the spectrum and V_k.
+    Q_s off that basis, [Q_s - Q^T X; V_perp^T X] in orthonormal coordinates,
+    and log T is the sum of their logs: an SVD when k < r. When k = r that
+    part is off = Q_s - Q^T X alone, and log T is the stored log Vol. After a
+    k = r step under the hint rule with r < n, a Cholesky factorization of
+    M - t i I shows k = r with no spectrum: t = max(gamma sigma^2, 1e-10 tr(M)
+    / i) is at least the rule's threshold, as tr(M) / i >= lambda_max.
+    Otherwise ``eigh`` gives the spectrum and V_k.
     """
     if state.decision.variant is not Outcome.UNDECIDED:
         raise RuntimeError("cannot ingest after a decision was reached")
     _append_sample(state, np.asarray(y, dtype=float))
     r = state._rank
-    return _step(state, state.sample_count, state._m[:r, :r], state._off, np.linalg.eigh)
+    return _step(state, state.sample_count, state._m[:r, :r], state._log_vol, np.linalg.eigh)
 
 
-def _step(state: DetectorState, i: int, m: np.ndarray, off: np.ndarray, eigh) -> DetectorState:
-    """Step i of ``ingest``, from its scatter m (r x r), its off-span block
-    off = Q_s - Q^T X and the spectrum ``eigh(m)``. The last step kept all r
-    directions exactly when ``state._basis`` is None, as on a fresh state."""
+def _step(state: DetectorState, i: int, m: np.ndarray, log_vol: float, eigh) -> DetectorState:
+    """Step i of ``ingest``, from its scatter m (r x r), its log Vol([Q^T,
+    Q_s]) over those r directions and the spectrum ``eigh(m)``. The last step
+    kept all r directions exactly when ``state._basis`` is None, as on a
+    fresh state."""
     cfg = state.config
     n, d2, r = cfg.target_basis.ambient_dim, cfg.target_basis.dim, m.shape[0]
     full = state._basis is None and r < n and cfg.noise_variance_hint is not None
@@ -317,9 +359,10 @@ def _step(state: DetectorState, i: int, m: np.ndarray, off: np.ndarray, eigh) ->
         log_t = 0.0
     elif k + d2 > n:
         log_t = float("-inf")
+    elif k == r:
+        log_t = log_vol
     else:
-        off = off if k == r else np.vstack([off, V[:, k:].T @ state._x[:r]])
-        log_t = residual_log_volume(off)
+        log_t = residual_log_volume(np.vstack([_off_span(state, r), V[:, k:].T @ state._x[:r]]))
     t = math.exp(log_t)
     # exp overflows from -log_t ~ 709.78 on; exp(709.7) already exceeds the cap.
     inv_t = min(math.exp(-log_t), INV_T_CAP) if log_t > -709.7 else INV_T_CAP
@@ -397,32 +440,33 @@ def _read_ahead(rows: np.ndarray, width: int, pool):
     """``ingest`` for ``run_stream``'s pool path over ``rows``, in order.
 
     Each row is folded once, up to ``width`` rows before its step, which
-    reads the M and off-span block kept at that fold. A row that
-    ``_append_sample`` refuses, which leaves the state as it was, ends the
-    rows ahead and meets plain ``ingest`` at its own step, so a NaN or a
-    1e200 after the deciding row changes nothing.
+    reads the M and log Vol kept at that fold; a k < r step forms its
+    off-span block from the first r rows of Q and X, which later folds leave
+    as they are. A row that ``_append_sample`` refuses, which leaves the
+    state as it was, ends the rows ahead and meets plain ``ingest`` at its
+    own step, so a NaN or a 1e200 after the deciding row changes nothing.
     """
-    ahead = collections.deque()  # (M, off, future of eigh(M) or None) per row folded, not stepped
+    ahead = collections.deque()  # (M, log Vol, future of eigh(M) or None) per row folded, not stepped
 
     def fold_to(state, end, spectra=False):
         with contextlib.suppress(ValueError):
             while state.sample_count < min(end, len(rows)):
                 _append_sample(state, np.asarray(rows[state.sample_count], dtype=float))
                 m = state._m[: state._rank, : state._rank].copy()
-                ahead.append((m, state._off.copy(), pool.submit(np.linalg.eigh, m) if spectra else None))
+                ahead.append((m, state._log_vol, pool.submit(np.linalg.eigh, m) if spectra else None))
 
     def step(state, y):
         i = len(state.trajectory) + 1
         fold_to(state, i)
         if not ahead:
             return ingest(state, y)
-        m, off, future = ahead.popleft()
+        m, log_vol, future = ahead.popleft()
 
         def eigh(m):
             fold_to(state, i + width, spectra=True)
             return np.linalg.eigh(m) if future is None else future.result()
 
-        _step(state, i, m, off, eigh)
+        _step(state, i, m, log_vol, eigh)
         if future is not None:
             future.cancel()  # unused when the step took the Cholesky test
 
@@ -474,9 +518,10 @@ def noiseless_breakpoint(
     * its new unit direction q has a residual off [Q, Q_s] of at most
       ``tol``: the stacked volume Vol([Q_y, Q_s]) vanishes while the samples
       keep full rank, so the target is present -> ``(m, True)``. As q is
-      orthogonal to Q, that residual is Vol([Q, q, Q_s]) / Vol([Q, Q_s]), the
-      ratio of the volumes of the off-span part of Q_s after and before the
-      step, so the test reads the drop of its log-volume against log(tol).
+      orthogonal to Q, that residual is Vol([Q, q, Q_s]) / Vol([Q, Q_s]), so
+      the test reads the step's drop of the state's log Vol against
+      log(tol). Near the breakpoint the rank-1 pivot cancels, so that drop
+      ends on a value the SVD of the off-span block gave (``_fold_volume``).
 
     Both tests are relative to one step, so neither depends on how many
     samples came before, nor on their scale while ``_append_sample`` admits
@@ -486,13 +531,11 @@ def noiseless_breakpoint(
     if not tol > 0:
         raise ValueError("tol must be positive")
     state = detector_init(DetectorConfig(target_basis))
-    log_vol = 0.0  # log Vol(Q_s), Q_s orthonormal
     for m, y in enumerate(samples, start=1):
-        vec = np.asarray(y, dtype=float)
+        vec, prev = np.asarray(y, dtype=float), state._log_vol
         if _append_sample(state, vec) <= tol * np.linalg.norm(vec):
             return m, False
-        prev, log_vol = log_vol, residual_log_volume(state._off)
-        if log_vol - prev <= math.log(tol):
+        if state._log_vol - prev <= math.log(tol):
             return m, True
     return None, None
 

@@ -157,7 +157,12 @@ def residual_log_volume(residual) -> float:
     keeps a vanishing angle at rounding level instead of ~1e-8. -inf if a
     sine is below ``SINGULAR_VALUE_FLOOR``.
     """
-    s = np.minimum(np.linalg.svd(residual, compute_uv=False), 1.0)
+    return _sum_log_sines(np.linalg.svd(residual, compute_uv=False))
+
+
+def _sum_log_sines(s: np.ndarray) -> float:
+    """``residual_log_volume`` from the singular values ``s`` of the residual."""
+    s = np.minimum(s, 1.0)
     if np.any(s < SINGULAR_VALUE_FLOOR):
         return float("-inf")
     return float(np.sum(np.log(s)))

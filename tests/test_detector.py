@@ -839,6 +839,143 @@ class TestNoisyAsymptotics:
             assert hits >= 0.9 * trials
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices passed to np.linalg.svd, in order. Kept apart
+    from eig_calls, whose assertions list its solvers' calls exactly."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def svd_log_volume(state):
+    """log Vol([Q^T, Q_s]) from the SVD of off = Q_s - Q^T X over the state's r directions."""
+    r = state._rank
+    return residual_log_volume(state.config.target_basis.basis - state._q[:r].T @ state._x[:r])
+
+
+class TestLogVolumeUpdate:
+    """The state keeps log Vol([Q^T, Q_s]) by a rank-1 update per new direction,
+    with an SVD only when the pivot falls to the floor or log Vol is -inf, so
+    a step that keeps all r directions takes no SVD."""
+
+    # Fixed before the first run: 1e-9 in log Vol is 1e-9 relative in 1/T,
+    # the tolerance the trajectory is held to against the SVD path elsewhere.
+    LOG_VOL_ATOL = 1e-9
+
+    def run(self, cfg, ys, svd_calls):
+        """Ingest ys, checking after every sample that the stored log Vol is
+        the SVD's, and that the step took one SVD per fallback plus one when
+        0 < k < r (and k + d2 <= n). Returns (stored log Vol, fallback, k = r)
+        per sample."""
+        n, d2 = cfg.target_basis.ambient_dim, cfg.target_basis.dim
+        floor = 0.5 * math.log(detector._PIVOT_FLOOR)
+        state, out = detector_init(cfg), []
+        for i, y in enumerate(ys, start=1):
+            before, rank = svd_log_volume(state), state._rank
+            svd_calls.clear()
+            ingest(state, y)
+            calls = len(svd_calls)
+            want = svd_log_volume(state)
+            if want == -math.inf:
+                assert state._log_vol == -math.inf, f"sample {i}"
+            else:
+                assert abs(state._log_vol - want) <= self.LOG_VOL_ATOL, f"sample {i}"
+            # A new direction's pivot is exp(2 (log Vol after - log Vol before)).
+            fallback = state._rank > rank and (before == -math.inf or want - before <= floor)
+            k, r = state.estimated_rank, state._rank
+            assert calls == fallback + (0 < k < r and k + d2 <= n), f"sample {i}"
+            out.append((state._log_vol, fallback, k == r))
+        return out
+
+    @pytest.mark.parametrize("present", [True, False])
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0, 40.0, 60.0])
+    def test_matches_svd_after_every_sample(self, present, snr_db, svd_calls):
+        # n + 8 samples, so r reaches n, where off vanishes and log Vol is -inf.
+        n = 32
+        for seed in range(2):
+            sc = make_scenario(ScenarioConfig(n, 4, 3, snr_db, present, 560 + seed))
+            cfg = replace(passive_config(sc.target_basis, n + 8), noise_variance_hint=sc.noise_std**2)
+            rows = self.run(cfg, list(sample_stream(sc, np.random.default_rng(seed), n + 8)), svd_calls)
+            assert rows[-1][0] == -math.inf
+
+    @pytest.mark.parametrize("present", [True, False])
+    def test_noiseless_stream_through_breakpoint(self, present, svd_calls):
+        # Present: the stacked volume collapses at d1 + 1, where the pivot
+        # cancels; from there log Vol is -inf and each new direction takes
+        # the SVD. Absent: no sample past d1 adds a direction.
+        n, d1, d2 = 24, 5, 2
+        sc = noiseless_scenario(n, d1, d2, present, 565)
+        ys = list(sample_stream(sc, np.random.default_rng(566), 3 * d1))
+        rows = self.run(passive_config(sc.target_basis, len(ys)), ys, svd_calls)
+        log_vol = [row[0] for row in rows]
+        assert all(v > -math.inf for v in log_vol[:d1])
+        if present:
+            assert rows[d1][1] and log_vol[d1:] == [-math.inf] * (len(ys) - d1)
+        else:
+            assert log_vol[d1:] == [log_vol[d1 - 1]] * (len(ys) - d1)
+
+    def test_zero_and_repeated_samples_add_no_row(self, svd_calls):
+        n = 24
+        sc = make_scenario(ScenarioConfig(n, 4, 2, 10.0, True, 567))
+        ys = list(sample_stream(sc, np.random.default_rng(568), 40))
+        ys[0], ys[4], ys[9], ys[10], ys[15] = np.zeros(n), ys[2].copy(), -2.5 * ys[3], np.zeros(n), 1e-3 * ys[14]
+        cfg = replace(passive_config(sc.target_basis, len(ys)), noise_variance_hint=sc.noise_std**2)
+        rows = self.run(cfg, ys, svd_calls)
+        for i in (0, 4, 9, 10, 15):
+            assert rows[i][0] == (rows[i - 1][0] if i else 0.0)
+
+    def test_pivot_below_floor_falls_back_to_svd(self, svd_calls):
+        # Samples 4 and 8 lie mostly in span(Q_s): the new direction's pivot
+        # 1 - x G^-1 x^T is 0.07 and 0.01, below the floor, yet log Vol stays
+        # finite, and the rank-1 updates after each fallback start from the
+        # SVD's G^-1.
+        n = 16
+        rng = np.random.default_rng(569)
+        target = orthonormalize(rng.standard_normal((n, 2)), tol=1e-12)
+        ys = [rng.standard_normal(n) for _ in range(12)]
+        for j in (3, 7):
+            ys[j] = 3.0 * target.basis @ rng.standard_normal(2) + 0.1 * rng.standard_normal(n)
+        rows = self.run(passive_config(target, len(ys)), ys, svd_calls)
+        assert [row[1] for row in rows] == [j in (3, 7) for j in range(12)]
+        assert all(row[0] > -math.inf for row in rows)
+
+    def test_k_equals_r_steps_take_no_svd(self, svd_calls):
+        # Under the hint rule, while i is well below n the noise eigenvalues
+        # sit above 2 sigma^2 and the cut keeps all r directions. None of
+        # those steps calls the SVD (run checks each step's count), so the
+        # stream's SVD count is its k < r steps plus its fallbacks.
+        n, count = 128, 40
+        sc = make_scenario(ScenarioConfig(n, 4, 3, 0.0, True, 570))
+        cfg = replace(passive_config(sc.target_basis, count), noise_variance_hint=sc.noise_std**2)
+        rows = self.run(cfg, list(sample_stream(sc, np.random.default_rng(571), count)), svd_calls)
+        assert sum(full and not fallback for _, fallback, full in rows) >= 16
+        assert not all(full for _, _, full in rows)
+
+    def test_breakpoint_takes_svd_only_at_fallbacks(self, svd_calls):
+        # noiseless_breakpoint reads the state's one-step drop of log Vol. The
+        # expected fallbacks come from the SVD of each prefix's stacked volume.
+        n, d1, d2 = 24, 5, 2
+        floor = 0.5 * math.log(detector._PIVOT_FLOOR)
+        for present in (True, False):
+            sc = noiseless_scenario(n, d1, d2, present, 11)
+            ys = list(sample_stream(sc, np.random.default_rng(12), d1 + 2))
+            log_vol = [0.0] + [reference_log_volume(orthonormalize(np.column_stack(ys[:j]), tol=1e-8),
+                                                    sc.target_basis) for j in range(1, d1 + 1)]
+            if present:  # sample d1 + 1 adds a direction that collapses the stacked volume
+                log_vol.append(-math.inf)
+            fallbacks = sum(b - a <= floor for a, b in zip(log_vol, log_vol[1:]))
+            svd_calls.clear()
+            assert noiseless_breakpoint(sc.target_basis, ys) == (d1 + 1, present)
+            assert len(svd_calls) == fallbacks
+
+
 class TestInvariance:
     """The trajectory depends only on the sample span's geometry against span(Q_s).
 

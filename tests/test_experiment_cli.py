@@ -485,13 +485,15 @@ class TestBoundCli:
             ("--sigma2", "inf", "noise_variance"),
             ("--eigs", "3,nan", "eigenvalues"),
             ("--eigs", "inf,2", "eigenvalues"),
+            ("--eigs", "0.5,0.2", "no --eigs value lies above --sigma2 1.0"),
         ],
     )
     def test_nonsense_input_exits_2(self, flag, value, name):
         # Without the checks these printed m_required 1, 5825 or (a NaN
         # eigenvalue counted as noise) 4251, a deviation bound of 1000, or a
-        # message that did not name delta or the eigenvalues. The flag comes
-        # last, so it overrides the valid value before it.
+        # message that did not name delta or the eigenvalues, or (no eigenvalue
+        # above sigma2) named BoundInputs' signal_rank, which no flag sets. The
+        # flag comes last, so it overrides the valid value before it.
         r = run_cli(
             "bound", "--hypothesis", "present", "--eigs", "3,2", "--sigma2", "1",
             "--n", "10", "--delta", "0.1", "--eps", "0.5", "--d2", "1", flag, value,
