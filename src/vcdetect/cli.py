@@ -60,7 +60,7 @@ def _cmd_simulate(args) -> int:
     doc = _load_config_doc(args.config)
     try:
         cfg = load_experiment_config(doc, master_seed=args.seed)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"invalid experiment config: {exc}") from exc
     records = run_experiment(cfg)
     summary = summarize(records)

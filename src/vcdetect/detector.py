@@ -102,26 +102,6 @@ _NUMERIC_FIELDS = {
 _THRESHOLDS = ("rank_gap_factor", "divergence_threshold", "stall_epsilon", "stall_patience")
 
 
-def _check_fields(values: dict) -> None:
-    """Raise ValueError naming the first field in ``values`` of the wrong type
-    or range. The type comes first, as a range test raises TypeError on a
-    string; bool, an int subclass, is ruled out by name."""
-    for name, value in values.items():
-        kind, in_range, rule = _NUMERIC_FIELDS[name]
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
-        if not in_range(value):
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
-
-
-def _check_rank_threshold(gamma, hint) -> None:
-    """Raise ValueError unless the rank threshold gamma * sigma^2 is finite.
-    It is formed as Python floats, which overflow to inf without a warning."""
-    if not math.isfinite(float(gamma) * float(hint)):
-        raise ValueError("rank_gap_factor * noise_variance_hint must be finite, "
-                         f"got {gamma!r} * {hint!r}")
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     target_basis: SubspaceBasis
@@ -137,10 +117,22 @@ class DetectorConfig:
             raise ValueError(
                 f"target_basis must be a SubspaceBasis, got {type(self.target_basis).__name__}"
             )
-        _check_fields({name: getattr(self, name) for name in _NUMERIC_FIELDS
-                       if name != "noise_variance_hint" or self.noise_variance_hint is not None})
-        if self.noise_variance_hint is not None:
-            _check_rank_threshold(self.rank_gap_factor, self.noise_variance_hint)
+        # The type comes first, as a range test raises TypeError on a string;
+        # bool, an int subclass, is ruled out by name.
+        for name, (kind, in_range, rule) in _NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name == "noise_variance_hint":
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+            if not in_range(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
+        # The rank threshold gamma * sigma^2 is formed as Python floats, which
+        # overflow to inf without a warning.
+        gamma, hint = self.rank_gap_factor, self.noise_variance_hint
+        if hint is not None and not math.isfinite(float(gamma) * float(hint)):
+            raise ValueError("rank_gap_factor * noise_variance_hint must be finite, "
+                             f"got {gamma!r} * {hint!r}")
 
 
 @dataclass

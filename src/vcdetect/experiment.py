@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detector import (_THRESHOLDS, DetectorConfig, Outcome, _check_fields,
-                       _check_rank_threshold, _write_csv, decision_label, run_stream)
+from .detector import _THRESHOLDS, DetectorConfig, Outcome, _write_csv, decision_label, run_stream
+from .geometry import SubspaceBasis
 from .scenario import ScenarioConfig, draw_sample, make_scenario
 
 __all__ = [
@@ -54,33 +54,31 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("trials", "max_samples", "master_seed"):
+        for name in ("trials", "master_seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.trials < 1 or self.max_samples < 1:
-            raise ValueError("trials and max_samples must be >= 1")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
         if not isinstance(self.detector, dict):
             raise ValueError(f"detector must be an object, got {type(self.detector).__name__}")
-        # The budget is max_samples above, and the noise hint is the scenario's.
-        use_hint, opts = self.detector_options
-        if unknown := [key for key in opts if key not in _THRESHOLDS]:
+        # The budget is the top-level max_samples, and the noise hint the scenario's.
+        if unknown := [key for key in self.detector if key not in ("use_noise_hint", *_THRESHOLDS)]:
             raise ValueError(f"unknown detector option {unknown[0]!r}")
-        if type(use_hint) is not bool:
+        if type(use_hint := self.detector.get("use_noise_hint", True)) is not bool:
             raise ValueError(f"detector option 'use_noise_hint' must be bool, got {use_hint!r}")
-        _check_fields(opts)
-        # The rank threshold run_experiment builds from each hypothesis's
-        # noise_std ** 2 = sqrt(variance) ** 2, checked without drawing a scenario.
-        if use_hint:
-            gamma = opts.get("rank_gap_factor", DetectorConfig.rank_gap_factor)
-            for present in (True, False):
-                variance = replace(self.scenario, target_present=present).noise_variance
-                _check_rank_threshold(gamma, math.sqrt(variance) ** 2)
+        # DetectorConfig checks the rest, max_samples and gamma * sigma^2 too;
+        # a stand-in basis leaves the scenario undrawn.
+        for present in (True, False):
+            self.detector_config(present, SubspaceBasis(np.empty((0, 0))))
 
-    @property
-    def detector_options(self) -> tuple[bool, dict]:
-        """The detector block as ``(use_noise_hint, thresholds)``; the hint defaults to on."""
+    def detector_config(self, present: bool, target_basis: SubspaceBasis) -> DetectorConfig:
+        """One hypothesis's detector config: the block's thresholds, ``max_samples``, and
+        unless ``use_noise_hint`` is false (it defaults to on) the hint
+        ``make_scenario`` gives as ``noise_std ** 2``."""
         opts = dict(self.detector)
-        return opts.pop("use_noise_hint", True), opts
+        variance = replace(self.scenario, target_present=present).noise_variance
+        hint = math.sqrt(variance) ** 2 if opts.pop("use_noise_hint", True) else None
+        return DetectorConfig(target_basis, hint, max_samples=self.max_samples, **opts)
 
 
 # Bundled presets. fig1_full is the full-scale geometry (n=1024, d1=40,
@@ -128,6 +126,10 @@ def load_experiment_config(doc: dict, master_seed: int | None = None) -> Experim
         raise ValueError("the config and its scenario block must be JSON objects")
     if unknown := set(doc) - _CONFIG_KEYS:
         raise ValueError(f"unknown config key {min(unknown)!r}")
+    for where, block, keys in (("config", doc, ("trials", "max_samples")),
+                               ("scenario", doc["scenario"], ("n", "d1", "d2", "snr_db"))):
+        if missing := [key for key in keys if key not in block]:
+            raise ValueError(f"missing {where} key {missing[0]!r}")
     parallelism = doc.get("parallelism", 1)
     if type(parallelism) is not int or parallelism < 1:
         raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
@@ -176,12 +178,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrajectoryRecord]:
     differ. A trial's stream is seeded by ``derive_trial_seed`` and drawn
     lazily, so it stops where the detector does.
     """
-    use_hint, opts = cfg.detector_options
     records = []
     for present in (True, False):
         scenario = make_scenario(replace(cfg.scenario, target_present=present))
-        hint = scenario.noise_std**2 if use_hint else None
-        det_cfg = DetectorConfig(scenario.target_basis, hint, max_samples=cfg.max_samples, **opts)
+        det_cfg = cfg.detector_config(present, scenario.target_basis)
         hyp = "target_present" if present else "target_absent"
         for trial in range(cfg.trials):
             rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, trial, present))

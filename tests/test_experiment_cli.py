@@ -5,11 +5,13 @@ import os
 import statistics
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from vcdetect import cli, experiment
+from vcdetect.detector import Decision, Outcome
 from vcdetect.experiment import (
     PRESETS,
     TrajectoryRecord,
@@ -126,6 +128,37 @@ class TestRunExperiment:
                 want[hyp]["inv_t_quantiles"] = self.loop_summary_quantiles(rows, min(lengths.values()))
             assert json.dumps(summary, indent=2) == json.dumps(want, indent=2)
 
+    @pytest.mark.parametrize("use_hint", [True, False])
+    def test_runs_each_hypothesis_detector_config(self, monkeypatch, use_hint):
+        # Without the hint no rank threshold is formed, so gamma = 1e308 loads
+        # at -20 dB, where it would overflow gamma * sigma^2.
+        doc = {**SMALL_DOC, "detector": {**SMALL_DOC["detector"], "use_noise_hint": use_hint}}
+        if not use_hint:
+            doc["scenario"] = {**SMALL_DOC["scenario"], "snr_db": -20.0}
+            doc["detector"]["rank_gap_factor"] = 1e308
+        cfg = load_experiment_config(doc)
+        seen = []
+
+        def capture(det_cfg, stream):
+            seen.append(det_cfg)
+            return Decision(Outcome.UNDECIDED), []
+
+        monkeypatch.setattr(experiment, "run_stream", capture)
+        assert run_experiment(cfg) == []
+        assert len(seen) == 2 * cfg.trials
+        for present, runs in ((True, seen[:cfg.trials]), (False, seen[cfg.trials:])):
+            assert all(run is runs[0] for run in runs)
+            sc = make_scenario(replace(cfg.scenario, target_present=present))
+            want = cfg.detector_config(present, sc.target_basis)
+            np.testing.assert_array_equal(runs[0].target_basis.basis, want.target_basis.basis)
+            names = [f.name for f in fields(want) if f.name != "target_basis"]
+            assert [getattr(runs[0], n) for n in names] == [getattr(want, n) for n in names]
+            hint = runs[0].noise_variance_hint
+            if use_hint:
+                assert hint.hex() == (sc.noise_std**2).hex()
+            else:
+                assert hint is None
+
     def test_presets_load(self):
         for name in ("fig1_full", "fig1_desk"):
             cfg = load_experiment_config(PRESETS[name], master_seed=0)
@@ -183,6 +216,9 @@ class TestSimulateCli:
             ("stall_epsilon", 0),
             ("stall_patience", 0),
             ("rank_gap_factor", 1e308),
+            ("stall_patience", True),
+            ("stall_patience", 7.5),
+            ("stall_epsilon", "x"),
         ],
     )
     def test_out_of_range_detector_value_exits_2_at_load(
@@ -191,6 +227,7 @@ class TestSimulateCli:
         # Without the load-time range check these passed the block's type
         # check and were caught only when run_experiment built the detector
         # config, after a scenario was drawn and without the config prefix.
+        # The last three are type errors, caught by the same DetectorConfig.
         # At -20 dB the hint is 18.75 (present) or 12.5 (absent), so gamma =
         # 1e308 overflows the rank threshold; SMALL_DOC's 0.06 would not.
         def no_scenario(cfg):
@@ -219,12 +256,18 @@ class TestSimulateCli:
             ({**SMALL_DOC, "max_samples": 2.5}, "max_samples"),
             ({**SMALL_DOC, "parallelism": 0}, "parallelism"),
             ({**SMALL_DOC, "paralelism": 3}, "paralelism"),
+            ({**SMALL_DOC, "max_samples": 0}, "max_samples"),
+            ({**SMALL_DOC, "max_samples": True}, "max_samples"),
+            ({k: v for k, v in SMALL_DOC.items() if k != "trials"}, "missing config key 'trials'"),
+            ({**SMALL_DOC, "scenario": {k: v for k, v in SMALL_DOC["scenario"].items() if k != "n"}},
+             "missing scenario key 'n'"),
         ],
     )
     def test_config_of_wrong_shape_exits_2(self, tmp_path, doc, key):
         # Without the checks the first five exited 1 with a TypeError
         # traceback, a fractional budget ran truncated to 2 samples, and a
-        # misspelt top-level key was ignored.
+        # misspelt top-level key was ignored. A missing key was named only
+        # by its bare repr, with no word that it was missing.
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(doc))
         r = run_cli("simulate", "--config", str(config))
