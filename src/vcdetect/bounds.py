@@ -70,8 +70,6 @@ class BoundInputs:
         top = lam[: self.signal_rank]
         if len(set(top)) != len(top):
             raise ValueError("signal eigenvalues must be pairwise distinct")
-        if any(v == self.noise_variance for v in top):
-            raise ValueError("signal eigenvalues must differ from the noise variance")
 
 
 @dataclass(frozen=True)

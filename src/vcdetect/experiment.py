@@ -8,6 +8,7 @@ splitmix64, so a trial's records do not depend on which trials ran before it.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from dataclasses import dataclass, field, replace
 from itertools import count
@@ -55,8 +56,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("trials", "master_seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not isinstance(self.detector, dict):
@@ -131,7 +133,8 @@ def load_experiment_config(doc: dict, master_seed: int | None = None) -> Experim
         if missing := [key for key in keys if key not in block]:
             raise ValueError(f"missing {where} key {missing[0]!r}")
     parallelism = doc.get("parallelism", 1)
-    if type(parallelism) is not int or parallelism < 1:
+    if (isinstance(parallelism, bool) or not isinstance(parallelism, numbers.Integral)
+            or parallelism < 1):
         raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
     block = dict(doc["scenario"])
     snr = block.pop("snr_db")
@@ -164,7 +167,7 @@ def _splitmix64(x: int) -> int:
 
 def derive_trial_seed(master_seed: int, trial_id: int, target_present: bool) -> int:
     """splitmix64 chain over (master_seed, trial_id, hypothesis)."""
-    s = _splitmix64(master_seed & 0xFFFFFFFFFFFFFFFF)
+    s = _splitmix64(int(master_seed) & 0xFFFFFFFFFFFFFFFF)
     s = _splitmix64(s ^ trial_id)
     return _splitmix64(s ^ (1 if target_present else 2))
 

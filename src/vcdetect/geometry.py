@@ -140,8 +140,6 @@ def volume_correlation(A: SubspaceBasis, B: SubspaceBasis) -> float:
     """
     if A.ambient_dim != B.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    if A.dim == 0 or B.dim == 0:
-        return 1.0
     if A.dim + B.dim > A.ambient_dim:
         return 0.0
     return float(np.prod(_sines(A, B)))

@@ -23,6 +23,7 @@ of a sample. With unit-variance coefficients ``E||x||^2`` equals d1+d2
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # Types first, since a comparison below raises TypeError on a string;
-        # bool is an int subclass, so it is ruled out by name.
+        # numpy integers pass, and bool, an int subclass, is ruled out by name.
         for name in ("ambient_dim", "clutter_dim", "target_dim", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.clutter_dim < 1 or self.target_dim < 1:
             raise ValueError("subspace dimensions must be >= 1")

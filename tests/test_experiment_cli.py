@@ -159,6 +159,21 @@ class TestRunExperiment:
             else:
                 assert hint is None
 
+    def test_numpy_integers_give_the_same_run(self, tmp_path):
+        # Configs built in code may carry numpy integers; they pass the same
+        # integer rule as DetectorConfig's, and the seed chain masks int(seed).
+        doc = {**PRESETS["fig1_desk"], "trials": 3}
+        wrapped = {**doc, "trials": np.int64(3), "scenario": {
+            **doc["scenario"], **{k: np.int64(doc["scenario"][k]) for k in ("n", "d1", "seed")}}}
+        outputs = []
+        for d, seed in ((doc, 4), (wrapped, np.int64(4))):
+            records = run_experiment(load_experiment_config(d, master_seed=seed))
+            path = tmp_path / f"run{len(outputs)}.csv"
+            write_records_csv(records, path)
+            outputs.append((path.read_bytes(), json.dumps(summarize(records), indent=2)))
+        assert outputs[0][0].count(b"\n") > 1
+        assert outputs[1] == outputs[0]
+
     def test_presets_load(self):
         for name in ("fig1_full", "fig1_desk"):
             cfg = load_experiment_config(PRESETS[name], master_seed=0)
@@ -529,6 +544,10 @@ class TestBoundCli:
             ("--eigs", "3,nan", "eigenvalues"),
             ("--eigs", "inf,2", "eigenvalues"),
             ("--eigs", "0.5,0.2", "no --eigs value lies above --sigma2 1.0"),
+            ("--eps", "1.5", "epsilon"),
+            ("--eps", "0", "epsilon"),
+            ("--eps", "nan", "epsilon"),
+            ("--eigs", "2,3", "sorted"),
         ],
     )
     def test_nonsense_input_exits_2(self, flag, value, name):

@@ -194,6 +194,10 @@ class TestPrincipalAngles:
         with pytest.raises(ValueError):
             principal_angles(SubspaceBasis(np.eye(3)[:, :1]), SubspaceBasis(np.eye(4)[:, :1]))
 
+    def test_empty_basis_rejected(self):
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            principal_angles(SubspaceBasis(np.zeros((4, 0))), SubspaceBasis(np.eye(4)[:, :1]))
+
 
 class TestVolumeCorrelation:
     def test_orthogonal_subspaces_give_one(self):
@@ -205,6 +209,21 @@ class TestVolumeCorrelation:
         A = SubspaceBasis(np.eye(6)[:, :2])
         B = SubspaceBasis(np.eye(6)[:, 1:3])
         assert volume_correlation(A, B) == pytest.approx(0.0, abs=1e-12)
+
+    def test_empty_basis_gives_one(self):
+        # The product of no sines: an empty span meets every span trivially.
+        empty = SubspaceBasis(np.zeros((6, 0)))
+        B = SubspaceBasis(np.eye(6)[:, :2])
+        assert volume_correlation(empty, B) == 1.0
+        assert volume_correlation(B, empty) == 1.0
+
+    def test_dimensions_past_ambient_give_exact_zero(self):
+        rng = np.random.default_rng(17)
+        assert volume_correlation(random_basis(rng, 6, 4), random_basis(rng, 6, 3)) == 0.0
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(ValueError, match="ambient"):
+            volume_correlation(SubspaceBasis(np.eye(3)[:, :1]), SubspaceBasis(np.eye(4)[:, :1]))
 
     def test_two_lines_at_30_degrees(self):
         theta = math.pi / 6
