@@ -518,10 +518,10 @@ def noiseless_breakpoint(
     Both tests are relative to one step, so neither depends on how many
     samples came before, nor on their scale while ``_append_sample`` admits
     them: a sample that takes tr(M) + |y|^2 to 1e308 raises ValueError.
-    ``(None, None)`` if the stream ends first.
+    ``(None, None)`` if the stream ends first. ``tol`` must lie in (0, 1).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     state = detector_init(DetectorConfig(target_basis))
     for m, y in enumerate(samples, start=1):
         vec, prev = np.asarray(y, dtype=float), state._log_vol

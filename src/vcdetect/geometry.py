@@ -74,10 +74,10 @@ def orthonormalize(X, tol: float = 1e-8) -> SubspaceBasis:
     Each column is reduced against the accepted directions by
     ``gram_schmidt_step`` and dropped if its residual falls below
     ``tol * ||X||_F``, so the resulting dimension is the numerical rank of
-    ``X`` at ``tol``.
+    ``X`` at ``tol``, which must lie in (0, 1).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     X = _as_matrix(X)
     scale = np.linalg.norm(X)
     Q = np.empty((X.shape[0], 0))

@@ -768,10 +768,12 @@ class TestNoiselessBreakpoint:
 
     def test_nan_tol_rejected(self):
         # NaN fails every comparison, so a "tol <= 0" test alone lets it through.
+        # At tol = 1 or inf the first sample would read as the breakpoint (1, False).
         sc = noiseless_scenario(16, 3, 1, True, 80)
-        with pytest.raises(ValueError, match="tol must be positive"):
-            noiseless_breakpoint(sc.target_basis, sample_stream(sc, np.random.default_rng(81), 6),
-                                 tol=math.nan)
+        for tol in (math.nan, 1.0, math.inf):
+            with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+                noiseless_breakpoint(sc.target_basis,
+                                     sample_stream(sc, np.random.default_rng(81), 6), tol=tol)
 
     def test_sample_of_wrong_length_rejected(self):
         sc = noiseless_scenario(16, 3, 1, True, 80)

@@ -101,11 +101,12 @@ class TestOrthonormalize:
             orthonormalize(np.array([[np.nan], [1.0]]))
 
     def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            orthonormalize(np.eye(2), tol=0.0)
-        # NaN fails every comparison, so a "tol <= 0" test alone lets it through.
-        with pytest.raises(ValueError, match="tol must be positive"):
-            orthonormalize(np.eye(2), tol=float("nan"))
+        # NaN fails every comparison, so a "tol <= 0" test alone lets it through;
+        # at tol = 1 or inf a rank-3 matrix would get a 0-dimensional basis.
+        X = np.random.default_rng(0).standard_normal((6, 3))
+        for tol in (0.0, float("nan"), 1.0, float("inf")):
+            with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+                orthonormalize(X, tol=tol)
 
     @staticmethod
     def two_pass_loop(X, tol):

@@ -5,17 +5,18 @@
         desk_sim@211:10 full_sim@223:5 long_detect@227:5
 
 Each ``WORKLOAD@SEED:PAIRS`` set runs ``perfbench/run.py --workload WORKLOAD
---seed SEED --seconds S --trace 0`` PAIRS times in each checkout, one side
-after the other, with the parent first in odd pairs and the change first in
-even ones, so drift of the machine falls on both sides alike. DIR is a
-checkout of the parent commit, e.g. made by ``git worktree add DIR <commit>``
-or ``git archive <commit> | tar -x -C DIR``; ``--change`` defaults to the
-checkout this script lives in. Every result line is kept. For each end-to-end
-metric of ``BENCHMARK.json`` the output gives both sides' median, quartiles
-(``statistics.quantiles(n=4)``) and runs, the pairs the change won, the
-relative change of the median, whether it is worse by more than the metric's
-bound, and whether it meets the gain rule: better in at least 90% of the
-pairs, and in the median by more than the parent's interquartile range.
+--seed SEED --seconds S --trace 0`` PAIRS (at least 2) times in each
+checkout, one side after the other, with the parent first in odd pairs and
+the change first in even ones, so drift of the machine falls on both sides
+alike. DIR is a checkout of the parent commit, e.g. made by ``git worktree
+add DIR <commit>`` or ``git archive <commit> | tar -x -C DIR``; ``--change``
+defaults to the checkout this script lives in. Every result line is kept.
+For each end-to-end metric of ``BENCHMARK.json`` the output gives both sides'
+median, quartiles (``statistics.quantiles(n=4)``) and runs, the pairs the
+change won, the relative change of the median, whether it is worse by more
+than the metric's bound, and whether it meets the gain rule: better in at
+least 90% of the pairs, and in the median by more than the parent's
+interquartile range.
 """
 
 from __future__ import annotations
@@ -40,6 +41,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def workload_set(spec: str) -> tuple[str, int, int]:
+    """``WORKLOAD@SEED:PAIRS`` as its three parts. The quartiles need two runs
+    a side, so a set of fewer than 2 pairs is refused before anything runs."""
+    workload, rest = spec.split("@")
+    seed, pairs = (int(v) for v in rest.split(":"))
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"{spec!r} has {pairs} pairs; a set needs at least 2")
+    return workload, seed, pairs
 
 
 def spread(values: list[float]) -> dict:
@@ -75,7 +86,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("sets", nargs="+", help="WORKLOAD@SEED:PAIRS")
+    parser.add_argument("sets", nargs="+", type=workload_set, help="WORKLOAD@SEED:PAIRS, PAIRS >= 2")
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, default=ROOT, help="checkout of the change")
     parser.add_argument("--seconds", type=float, default=30.0)
@@ -99,9 +110,7 @@ def main() -> int:
         "summary": {},
         "runs": [],
     }
-    for spec in args.sets:
-        workload, rest = spec.split("@")
-        seed, pairs = (int(v) for v in rest.split(":"))
+    for workload, seed, pairs in args.sets:
         runs = []
         for pair in range(1, pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
