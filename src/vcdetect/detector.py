@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (_ORTHO_TOL, SubspaceBasis, _sum_log_sines, gram_schmidt_step,
+from .geometry import (_ORTHO_TOL, SubspaceBasis, _as_real, _sum_log_sines, gram_schmidt_step,
                        residual_log_volume)
 
 __all__ = [
@@ -208,7 +208,7 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
     (the first one on ties), scanning only while lam[j-1] is above the floor.
     Capped at min(sample_count, n - 1).
     """
-    lam = np.asarray(eigenvalues, dtype=float)
+    lam = _as_real(eigenvalues, "eigenvalue list")
     if lam.size == 0:
         raise ValueError("eigenvalue list must be non-empty")
     n = lam.size
@@ -226,24 +226,25 @@ def estimate_rank(eigenvalues, cfg: DetectorConfig, sample_count: int) -> int:
     return max(0, min(k, cap))
 
 
-def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
-    """Check one sample and fold it into Q, X, M and log Vol.
+def _append_sample(state: DetectorState, y) -> tuple[np.ndarray, float]:
+    """Convert one sample, check it, and fold it into Q, X, M and log Vol.
 
-    Every sample passes one check before anything is written: the right
-    length, and tr(M) + |y|^2 below 1e308 (NaN and inf fail it too). No entry
-    the fold writes exceeds that sum, so an admitted sample cannot overflow.
-    One two-pass Gram-Schmidt step gives the sample's coefficients u in Q
-    and, unless the residual is negligible, a new direction of Q, which must
-    be orthogonal to the stored ones; u then gains the residual norm, so |u|
-    = |y| to rounding. M, with a zero row and column for a new direction,
-    gains u u^T, and a new direction's row of X updates log Vol
-    (``_fold_volume``). Each check comes before the first write, and the
-    sample count moves last. Returns the residual norm.
+    Every sample, on every path, enters here and passes one check before
+    anything is written: real entries (``_as_real``), the right length, and
+    tr(M) + |y|^2 below 1e308 (NaN and inf fail it too). No entry the fold
+    writes exceeds that sum, so an admitted sample cannot overflow. One
+    two-pass Gram-Schmidt step gives its coefficients u in Q and, unless the
+    residual is negligible, a new direction of Q, which must be orthogonal
+    to the stored ones; u then gains the residual norm, so |u| = |y| to
+    rounding. M, with a zero row and column for a new direction, gains
+    u u^T, and a new direction's row of X updates log Vol (``_fold_volume``).
+    Every check precedes the first write, and the sample count moves last.
+    Returns the converted sample and its residual norm.
     """
-    n, i = state.config.target_basis.ambient_dim, state.sample_count + 1
+    n, i, r = state.config.target_basis.ambient_dim, state.sample_count + 1, state._rank
+    vec = _as_real(y, f"sample {i}")
     if vec.shape != (n,):
         raise ValueError(f"sample length {vec.shape} does not match ambient dim {n}")
-    r = state._rank
     # vdot, unlike dot, warns of no overflow; the difference cannot overflow.
     if not (yy := np.vdot(vec, vec)) < 1e308 - np.trace(state._m[:r, :r]):
         what = "overflows the scatter" if np.isfinite(vec).all() else "has a non-finite entry"
@@ -267,7 +268,7 @@ def _append_sample(state: DetectorState, vec: np.ndarray) -> float:
         _fold_volume(state, x)
     state._m[:r, :r] += np.outer(u, u)
     state.sample_count = i
-    return rho
+    return vec, rho
 
 
 def _off_span(state: DetectorState, r: int) -> np.ndarray:
@@ -315,17 +316,16 @@ def ingest(state: DetectorState, y) -> DetectorState:
     """
     if state.decision.variant is not Outcome.UNDECIDED:
         raise RuntimeError("cannot ingest after a decision was reached")
-    _append_sample(state, np.asarray(y, dtype=float))
-    r = state._rank
-    return _step(state, state.sample_count, state._m[:r, :r], state._log_vol, np.linalg.eigh)
+    _append_sample(state, y)
+    return _step(state, state._m[: state._rank, : state._rank], state._log_vol, np.linalg.eigh)
 
 
-def _step(state: DetectorState, i: int, m: np.ndarray, log_vol: float, eigh) -> DetectorState:
-    """Step i of ``ingest``, from its scatter m (r x r), its log Vol([Q^T,
-    Q_s]) over those r directions and the spectrum ``eigh(m)``. The last step
-    kept all r directions exactly when ``state._basis`` is None, as on a
-    fresh state."""
-    cfg = state.config
+def _step(state: DetectorState, m: np.ndarray, log_vol: float, eigh) -> DetectorState:
+    """The next step of ``ingest``, from its scatter m (r x r), its log
+    Vol([Q^T, Q_s]) over those r directions and the spectrum ``eigh(m)``.
+    The last step kept all r directions exactly when ``state._basis`` is
+    None, as on a fresh state."""
+    cfg, i = state.config, len(state.trajectory) + 1
     n, d2, r = cfg.target_basis.ambient_dim, cfg.target_basis.dim, m.shape[0]
     full = state._basis is None and r < n and cfg.noise_variance_hint is not None
     if full:
@@ -386,21 +386,22 @@ def decide(state: DetectorState) -> Decision:
 def run_stream(cfg: DetectorConfig, samples) -> tuple[Decision, list]:
     """Ingest samples until a decision is reached or the budget runs out.
 
-    ``ingest`` is the strictly online API, and any iterable is read here one
-    sample at a time, as it takes them; no row at or past ``max_samples`` is
-    read. A 2-D array, while OpenBLAS runs one thread and the process's
-    affinity mask holds w >= 2 CPUs (w at most 2, see ``_pool_width``), is
-    read ahead on the one state (``_read_ahead``): a step that needs a
-    spectrum starts the ``eigh`` of the next w rows' scatters on a pool of w
-    threads, and LAPACK releases the GIL, so up to w calls run at once. Every
-    output is the one-at-a-time loop's, and the pool is gone when this
-    returns or raises.
+    Any iterable is read one sample at a time, as ``ingest`` takes them; no
+    row at or past ``max_samples`` is read. A 2-D array, while OpenBLAS runs
+    one thread and the process may use w >= 2 CPUs, is read ahead on the one
+    state (``_read_ahead``): a step that needs a spectrum starts the ``eigh``
+    of the next w rows' scatters on a pool of w threads, and LAPACK releases
+    the GIL, so up to w calls run at once. Outputs and errors are the
+    one-at-a-time loop's, and the pool is gone when this returns or raises.
     """
     state = detector_init(cfg)
     step, pool = ingest, None
-    width = _pool_width() if isinstance(samples, np.ndarray) and samples.ndim == 2 else 1
-    threads = width >= 2 and _openblas_threads()
-    if threads and threads[0]() == 1:
+    threads = isinstance(samples, np.ndarray) and samples.ndim == 2 and _openblas_threads()
+    # The CPUs in the affinity mask, or all where the OS keeps none (a CPU quota is
+    # not seen), at most 2: the only width timed, and each call in flight copies M.
+    affinity = getattr(os, "sched_getaffinity", None)
+    width = min(len(affinity(0)) if affinity else os.cpu_count() or 1, 2)
+    if threads and threads[0]() == 1 and width >= 2:
         from concurrent.futures import ThreadPoolExecutor
 
         samples, pool = samples[: cfg.max_samples], ThreadPoolExecutor(max_workers=width)
@@ -416,49 +417,35 @@ def run_stream(cfg: DetectorConfig, samples) -> tuple[Decision, list]:
     return state.decision, state.trajectory
 
 
-def _pool_width() -> int:
-    """The CPUs in this process's affinity mask (all CPUs where the OS keeps
-    none), at most 2: the only width timed so far (on a 2-CPU machine), and
-    each call in flight holds an r x r copy of M, 8 MB at n = 1024. A CPU
-    quota (a cgroup's cpu.max) is not detected."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, 2)
-
-
 def _read_ahead(rows: np.ndarray, width: int, pool):
     """``ingest`` for ``run_stream``'s pool path over ``rows``, in order.
 
-    Each row is folded once, up to ``width`` rows before its step, which
-    reads the M and log Vol kept at that fold; a k < r step forms its
-    off-span block from the first r rows of Q and X, which later folds leave
-    as they are. A row that ``_append_sample`` refuses, which leaves the
-    state as it was, ends the rows ahead and meets plain ``ingest`` at its
-    own step, so a NaN or a 1e200 after the deciding row changes nothing.
+    Each row is folded once, by its own step as in ``ingest`` or up to
+    ``width`` rows before it, and its step reads the M and log Vol kept at
+    that fold; a k < r step forms its off-span block from the first r rows of
+    Q and X, which later folds leave as they are. A row refused while folding
+    ahead leaves the state as it was and ends the rows ahead; its own step
+    tries it again, unguarded, and raises, unless the stream decided first.
     """
     ahead = collections.deque()  # (M, log Vol, future of eigh(M) or None) per row folded, not stepped
 
-    def fold_to(state, end, spectra=False):
-        with contextlib.suppress(ValueError):
-            while state.sample_count < min(end, len(rows)):
-                _append_sample(state, np.asarray(rows[state.sample_count], dtype=float))
-                m = state._m[: state._rank, : state._rank].copy()
-                ahead.append((m, state._log_vol, pool.submit(np.linalg.eigh, m) if spectra else None))
+    def fold_to(state, end, spectra):
+        for y in rows[state.sample_count : end]:
+            _append_sample(state, y)
+            m = state._m[: state._rank, : state._rank].copy()
+            ahead.append((m, state._log_vol, pool.submit(np.linalg.eigh, m) if spectra else None))
 
-    def step(state, y):
+    def step(state, y):  # y is rows[i - 1]
         i = len(state.trajectory) + 1
-        fold_to(state, i)
-        if not ahead:
-            return ingest(state, y)
+        fold_to(state, i, False)
         m, log_vol, future = ahead.popleft()
 
         def eigh(m):
-            fold_to(state, i + width, spectra=True)
+            with contextlib.suppress(ValueError):
+                fold_to(state, i + width, True)
             return np.linalg.eigh(m) if future is None else future.result()
 
-        _step(state, i, m, log_vol, eigh)
+        _step(state, m, log_vol, eigh)
         if future is not None:
             future.cancel()  # unused when the step took the Cholesky test
 
@@ -517,15 +504,15 @@ def noiseless_breakpoint(
 
     Both tests are relative to one step, so neither depends on how many
     samples came before, nor on their scale while ``_append_sample`` admits
-    them: a sample that takes tr(M) + |y|^2 to 1e308 raises ValueError.
-    ``(None, None)`` if the stream ends first. ``tol`` must lie in (0, 1).
+    them. ``(None, None)`` if the stream ends first. ``tol`` must lie in (0, 1).
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     state = detector_init(DetectorConfig(target_basis))
     for m, y in enumerate(samples, start=1):
-        vec, prev = np.asarray(y, dtype=float), state._log_vol
-        if _append_sample(state, vec) <= tol * np.linalg.norm(vec):
+        prev = state._log_vol
+        vec, rho = _append_sample(state, y)
+        if rho <= tol * np.linalg.norm(vec):
             return m, False
         if state._log_vol - prev <= math.log(tol):
             return m, True

@@ -31,8 +31,21 @@ __all__ = [
 ]
 
 
+def _as_real(X, what: str) -> np.ndarray:
+    """``X`` as a float64 array, or ValueError naming ``what`` if an entry is
+    not a real number: complex with a nonzero imaginary part, or not a number."""
+    X = np.asarray(X)
+    try:
+        if X.dtype.kind not in "cO" or not X.astype(complex).imag.any():
+            # A complex array's real part is a strided view: copy it.
+            return X.real.copy() if X.dtype.kind == "c" else X.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} has an entry that is not a real number")
+
+
 def _as_matrix(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
+    X = _as_real(X, "matrix")
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:
@@ -188,17 +201,16 @@ def incremental_volume_factor(X, Yprev, y) -> float:
     """
     X = _as_matrix(X)
     Yprev = _as_matrix(Yprev) if np.asarray(Yprev).size else np.empty((X.shape[0], 0))
-    y = np.asarray(y, dtype=float)
+    y = _as_real(y, "y")
     if Yprev.shape[0] != X.shape[0] or y.shape != (X.shape[0],):
         raise ValueError("row dimensions are inconsistent")
-    stacked = np.hstack([X, Yprev])
-    base = orthonormalize(stacked, tol=1e-12)
+    base = orthonormalize(np.hstack([X, Yprev]), tol=1e-12)
     return float(np.linalg.norm(gram_schmidt_step(base.basis.T, y)[1]))
 
 
 def elementary_symmetric(values, k: int) -> float:
     """k-th elementary symmetric function of the given values; s_0 = 1."""
-    values = np.asarray(values, dtype=float)
+    values = _as_real(values, "value list")
     if k < 0 or k > values.size:
         raise ValueError(f"k={k} out of range for {values.size} values")
     e = np.zeros(k + 1)

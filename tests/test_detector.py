@@ -91,12 +91,13 @@ class TestInitAndCovariance:
         with pytest.raises(ValueError):
             ingest(detector_init(cfg), np.zeros(5))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1j])
     def test_non_finite_sample_rejected(self, bad):
-        # Unchecked, a NaN spreads through the eigenstep and is recorded as 1/T = 1.
+        # Unchecked, a NaN spreads through the eigenstep and is recorded as 1/T = 1,
+        # and a complex sample used to become its real part.
         cfg = passive_config(SubspaceBasis(np.eye(6)[:, :2]), 10)
         state = ingest(detector_init(cfg), np.arange(6.0))
-        y = np.ones(6)
+        y = np.ones(6, dtype=type(bad))
         y[3] = bad
         with pytest.raises(ValueError, match="sample 2"):
             ingest(state, y)
@@ -136,6 +137,10 @@ class TestEstimateRank:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             estimate_rank([], self.cfg(hint=1.0), 3)
+
+    def test_complex_eigenvalue_rejected(self):
+        with pytest.raises(ValueError, match="eigenvalue list has an entry that is not a real number"):
+            estimate_rank([3.0, 1j, 0.5], self.cfg(hint=1.0), 3)
 
     @staticmethod
     def loop_gap_rank(lam, sample_count):
@@ -750,13 +755,15 @@ class TestNoiselessBreakpoint:
         samples = sample_stream(sc, np.random.default_rng(seed + 1), 122)
         assert noiseless_breakpoint(sc.target_basis, samples) == (121, True)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1j])
     def test_non_finite_sample_rejected(self, bad):
-        # Without the check it returned (None, None), the "stream ended" answer.
+        # Without the check it returned (None, None), the "stream ended" answer;
+        # a complex sample used to become its real part.
         sc = noiseless_scenario(16, 3, 2, True, 87)
-        ys = list(sample_stream(sc, np.random.default_rng(88), 6))
+        ys = [y.astype(type(bad)) for y in sample_stream(sc, np.random.default_rng(88), 6)]
         ys[1][5] = bad
-        with pytest.raises(ValueError, match="sample 2 has a non-finite entry"):
+        what = "has an entry that is not a real number" if bad == 1j else "has a non-finite entry"
+        with pytest.raises(ValueError, match=f"sample 2 {what}"):
             noiseless_breakpoint(sc.target_basis, ys)
 
     def test_budget_exhaustion(self):
@@ -1088,7 +1095,7 @@ class TestReadAhead:
         """Make the affinity mask hold ``cpus`` CPUs; return the pool width."""
         monkeypatch.setattr(detector.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        return detector._pool_width()
+        return min(cpus, 2)
 
     def hint_stream(self, snr_db=-5.0, present=True, seed=600):
         sc = make_scenario(ScenarioConfig(self.N, 6, 3, snr_db, present, seed))
@@ -1114,6 +1121,16 @@ class TestReadAhead:
         inv_t = [t[2] for t in run_stream(cfg, iter(ys))[1]]
         assert inv_t[row] > max(inv_t[:row])
         return replace(cfg, divergence_threshold=max(inv_t[:row])), ys
+
+    @staticmethod
+    def not_real(ys, row):
+        """Copies of ys whose ``row`` holds an entry that is not a real number:
+        {} or 1+2j in an object array, or 1j in a complex array whose other
+        entries are real."""
+        braces, complex_obj, complex_dtype = ys.astype(object), ys.astype(object), ys + 0j
+        braces[row, 0], complex_obj[row, 0] = {}, 1 + 2j
+        complex_dtype[row, 0] += 1j
+        return {"{}": braces, "1+2j": complex_obj, "1j": complex_dtype}
 
     @staticmethod
     def overflowing_pair(ys):
@@ -1268,9 +1285,9 @@ class TestReadAhead:
     @pytest.mark.parametrize("row", [59, 60])
     def test_row_after_the_decision_is_not_checked(self, blas_threads, monkeypatch, row):
         # Two deciding rows one apart, and 1..width rows past each a NaN, a
-        # row whose squared norm overflows, or two rows that each fold in
-        # alone but overflow M together, so that the read-ahead meets them at
-        # some offset from the deciding step.
+        # row whose squared norm overflows, two rows that each fold in alone
+        # but overflow M together, or an entry that is not a real number, so
+        # that the read-ahead meets them at some offset from the deciding step.
         cfg, ys = self.decides_present(row)
         for cpus in (2, 4):
             width = self.set_cpus(monkeypatch, cpus)
@@ -1279,16 +1296,18 @@ class TestReadAhead:
                 nan[row + offset] = np.nan
                 huge[row + offset] = 1e200
                 pair[row + offset : row + offset + 2] = self.overflowing_pair(ys)
-                for name, bad in (("nan", nan), ("1e200", huge), ("pair", pair)):
+                not_real = self.not_real(ys, row + offset).items()
+                for name, bad in (("nan", nan), ("1e200", huge), ("pair", pair), *not_real):
                     got = run_stream(cfg, bad)
                     assert got == run_stream(cfg, iter(bad)), (cpus, offset, name)
                     assert got[0].decided_at == row + 1
 
     @pytest.mark.parametrize("row", [60, 61])
     def test_non_finite_row_raises_at_its_own_step(self, blas_threads, monkeypatch, row):
-        # An inf row, a 1e200 row, and the second of two rows that each fold
-        # in alone raise ValueError naming the row. On both paths the state
-        # that raises has stepped every row before the bad one.
+        # An inf row, a 1e200 row, the second of two rows that each fold in
+        # alone, and a row with an entry that is not a real number raise
+        # ValueError naming the row. On both paths the state that raises has
+        # stepped every row before the bad one.
         cfg, ys = self.hint_stream()
         states = self.kept_states(monkeypatch)
         for cpus in (2, 4):
@@ -1299,16 +1318,41 @@ class TestReadAhead:
                 inf[bad] = np.inf
                 huge[bad] = 1e200
                 pair[bad - 1 : bad + 1] = self.overflowing_pair(ys)
-                for rows, message in (
-                    (inf, f"sample {bad + 1} has a non-finite entry"),
-                    (huge, f"sample {bad + 1} overflows the scatter"),
-                    (pair, f"sample {bad + 1} overflows the scatter"),
-                ):
+                cases = [(inf, "has a non-finite entry"), (huge, "overflows the scatter"),
+                         (pair, "overflows the scatter")]
+                cases += [(rows, "has an entry that is not a real number")
+                          for rows in self.not_real(ys, bad).values()]
+                for rows, what in cases:
+                    message = f"sample {bad + 1} {what}"
                     for samples in (iter(rows), rows):
                         states.clear()
                         with pytest.raises(ValueError, match=message):
                             run_stream(cfg, samples)
                         assert len(states) == 1 and len(states[0].trajectory) == bad
+
+    @pytest.mark.parametrize("cpu_count,width", [(1, 1), (4, 2)])
+    def test_all_cpus_counted_without_an_affinity_mask(self, blas_threads, monkeypatch,
+                                                        cpu_count, width):
+        # Where the OS keeps no affinity mask, os.cpu_count() sets the width:
+        # one CPU keeps the one-at-a-time loop and starts no thread, and four
+        # read ahead at width 2.
+        monkeypatch.delattr(detector.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(detector.os, "cpu_count", lambda: cpu_count)
+        cfg, ys = self.hint_stream()
+        want = run_stream(cfg, iter(ys))
+        leads, decide = [], detector.decide
+
+        def spy(state):
+            leads.append(state.sample_count - len(state.trajectory))
+            return decide(state)
+
+        monkeypatch.setattr(detector, "decide", spy)
+        before, seen = threading.active_count(), self.thread_counts(monkeypatch)
+        assert run_stream(cfg, ys) == want
+        if width == 1:
+            assert max(leads) == 0 and set(seen) == {before}
+        else:
+            assert max(leads) == width and before < max(seen) <= before + width
 
     def test_refused_row_leaves_the_state_as_it_was(self):
         # The second row of the pair is refused before any write, so the

@@ -97,8 +97,10 @@ class TestOrthonormalize:
         assert orthonormalize(np.zeros((4, 2))).dim == 0
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            orthonormalize(np.array([[np.nan], [1.0]]))
+        # A complex matrix used to become its real part.
+        for X in (np.array([[np.nan], [1.0]]), np.array([[1j], [1.0]])):
+            with pytest.raises(ValueError):
+                orthonormalize(X)
 
     def test_bad_tol_rejected(self):
         # NaN fails every comparison, so a "tol <= 0" test alone lets it through;
@@ -361,3 +363,18 @@ class TestTypes:
     def test_subspace_basis_rejects_too_many_columns(self):
         with pytest.raises(ValueError):
             SubspaceBasis(np.ones((2, 3)))
+
+    def test_entries_that_are_not_real_rejected(self):
+        # Each entry point refuses a complex entry, which numpy would turn into
+        # its real part with only a ComplexWarning, and an entry numpy cannot
+        # make a float; a complex array whose entries are all real converts.
+        calls = (
+            lambda v: volume(np.column_stack([v, np.eye(3)[:, 1]]), 2),
+            lambda v: incremental_volume_factor(np.eye(3)[:, :1], np.empty((3, 0)), v),
+            lambda v: elementary_symmetric(v, 2),
+        )
+        for call in calls:
+            assert call(np.array([1, 0, 2], dtype=complex)) == call(np.array([1.0, 0.0, 2.0]))
+            for bad in (np.array([1, 1j, 2]), np.array([1.0, {}, 2.0], dtype=object)):
+                with pytest.raises(ValueError, match="not a real number"):
+                    call(bad)
